@@ -141,7 +141,7 @@ int LinkManager::spray_pick(const std::vector<int>& candidates) {
 
 RouteDecision LinkManager::route_legacy(const net::Packet& p) {
   (void)p;
-  // Byte-for-byte replication of the MultipathMode branches so existing
+  // Byte-for-byte replication of the original multipath modes so existing
   // campaigns and stored artifacts stay comparable. Legacy policies predate
   // bonding and only ever see the first two paths.
   const auto now = sim_.now();

@@ -1,8 +1,8 @@
 // LinkManager — owns the set of bonded paths of a session and decides, per
 // packet, which path(s) carry it.
 //
-// Replaces the three hard-coded MultipathMode branches with named policies
-// (see policy.hpp). The manager tracks per-path health (radio down/up, loss
+// Routes by named policies (see policy.hpp), including the three original
+// multipath modes. The manager tracks per-path health (radio down/up, loss
 // EWMA, queue depth, capacity), degrades gracefully as links fail — a dead
 // path simply leaves the candidate set — and re-admits a recovered path only
 // after a probation window so a flapping radio cannot drag traffic back and
@@ -82,7 +82,7 @@ class LinkManager {
   void attach_observer(obs::EventBus* bus) { bus_ = bus; }
 
   // Decide the path(s) for one outgoing packet. Legacy policies replicate
-  // the MultipathMode semantics verbatim (over the first two paths); bonded
+  // the original multipath modes verbatim (over the first two paths); bonded
   // policies use the health-gated candidate machinery over any path count.
   RouteDecision route(TrafficClass cls, const net::Packet& p);
 
@@ -119,8 +119,8 @@ class LinkManager {
     return duplicates_routed_;
   }
   [[nodiscard]] std::uint64_t airtime_bytes() const { return airtime_bytes_; }
-  // Legacy kFailover switch counter (either direction), kept name-compatible
-  // with MultipathSession::failover_events(). For bonded policies this counts
+  // Legacy kFailover switch counter (either direction), reported as
+  // SessionReport::failover_events. For bonded policies this counts
   // video-anchor switches.
   [[nodiscard]] std::uint64_t failover_events() const {
     return failover_events_;

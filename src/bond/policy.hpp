@@ -6,7 +6,7 @@
 // modems with policy-driven redundancy. A Policy names how the LinkManager
 // spreads traffic across the registered operator links:
 //
-//  * kDuplicate / kScheduled / kFailover — the legacy MultipathModes, kept
+//  * kDuplicate / kScheduled / kFailover — the legacy multipath modes, kept
 //    semantically identical (duplicate everything / shortest-queue spray /
 //    primary-with-failover) so existing campaigns stay comparable;
 //  * kLowLatency — every packet on the currently fastest eligible path,
@@ -24,9 +24,9 @@
 namespace rpv::bond {
 
 enum class Policy : std::uint8_t {
-  kDuplicate,        // legacy MultipathMode::kDuplicate
-  kScheduled,        // legacy MultipathMode::kScheduled
-  kFailover,         // legacy MultipathMode::kFailover
+  kDuplicate,        // legacy: every packet on both operators
+  kScheduled,        // legacy: shortest-queue spray
+  kFailover,         // legacy: primary, secondary while the primary is down
   kLowLatency,       // fastest path + FEC
   kBalanced,         // weighted spray + selective duplication
   kHighReliability,  // duplicate C2 + FEC-bonded video

@@ -28,7 +28,7 @@ ReorderWindow::ReorderWindow(sim::Simulator& simulator, ReorderWindowConfig cfg,
 
 std::uint64_t ReorderWindow::dedup_key(const net::Packet& p) {
   // Parity packets live in their own key space (their frame_id is unset);
-  // media keys match the legacy MultipathSession dedup scheme. origin_id
+  // media keys match the legacy policies' first-copy-wins dedup. origin_id
   // ties bonded duplicate copies back to one logical packet, but the
   // (frame, transport_seq) pair is already copy-invariant and cheaper.
   if (p.kind == net::PacketKind::kFecParity) {

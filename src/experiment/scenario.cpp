@@ -1,6 +1,6 @@
 #include "experiment/scenario.hpp"
 
-#include "pipeline/multipath_session.hpp"
+#include <optional>
 
 namespace rpv::experiment {
 
@@ -278,6 +278,8 @@ pipeline::SessionReport run_scenario(const Scenario& s,
                                      obs::EventSink* extra_sink) {
   sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
   auto layout = make_layout(s, rng);
+  std::string env_label = environment_name(s.env);
+  std::optional<cellular::CellLayout> layout_b;
   if (s.multipath != Multipath::kNone) {
     // Bonded runs pair the scenario's operator with the environment's
     // competitor: rural P1 <-> P2 (the paper's Fig. 10 operator pair), urban
@@ -288,35 +290,25 @@ pipeline::SessionReport run_scenario(const Scenario& s,
       case Environment::kRuralP2: other.env = Environment::kRuralP1; break;
       case Environment::kUrban: break;  // second urban layout, fresh draw
     }
-    auto layout_b = make_layout(other, rng);
-    auto trajectory = make_trajectory(s, rng);
-    const auto plan = replan_if_planned(s, trajectory);
-    auto cfg = make_session_config(s);
-    std::string env_label =
-        environment_name(s.env) + "+" + environment_name(other.env);
+    layout_b = make_layout(other, rng);
+    env_label += "+" + environment_name(other.env);
     if (s.path_set == PathSet::kThreeWay) env_label += "+sat";
     if (s.path_set == PathSet::kThreeWayMesh) env_label += "+sat+mesh";
-    pipeline::MultipathSession session{
-        cfg,
-        std::move(layout),
-        std::move(layout_b),
-        &trajectory,
-        env_label + "/" + mobility_name(s.mobility),
-        bond_policy_of(s.multipath)};
-    if (extra_sink != nullptr) session.subscribe(extra_sink);
-    publish_replan(session.observer(), trajectory, plan);
-    auto r = session.run();
-    annotate_planning(r, s, plan);
-    return r;
   }
+  env_label += "/" + mobility_name(s.mobility);
   auto trajectory = make_trajectory(s, rng);
   const auto plan = replan_if_planned(s, trajectory);
   auto cfg = make_session_config(s);
-  pipeline::Session session{cfg, std::move(layout), &trajectory,
-                            environment_name(s.env) + "/" + mobility_name(s.mobility)};
-  if (extra_sink != nullptr) session.observer().subscribe(extra_sink);
-  publish_replan(session.observer(), trajectory, plan);
-  auto r = session.run();
+  std::optional<pipeline::Session> session;
+  if (layout_b) {
+    session.emplace(cfg, std::move(layout), std::move(*layout_b), &trajectory,
+                    env_label, bond_policy_of(s.multipath));
+  } else {
+    session.emplace(cfg, std::move(layout), &trajectory, env_label);
+  }
+  if (extra_sink != nullptr) session->subscribe(extra_sink);
+  publish_replan(session->observer(), trajectory, plan);
+  auto r = session->run();
   annotate_planning(r, s, plan);
   return r;
 }

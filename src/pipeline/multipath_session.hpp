@@ -1,172 +1,11 @@
-// Multipath extension (paper Section 5 / reference [9]): stream the video
-// over TWO cellular operators at once, with the packet-level scheduling
-// delegated to a bond::LinkManager.
-//
-// The manager implements six named policies: the three legacy MultipathModes
-// (kDuplicate / kScheduled / kFailover, semantics preserved verbatim for
-// campaign comparability) plus the bonded policies — kLowLatency (fastest
-// path + adaptive FEC), kBalanced (capacity-weighted spray, keyframe/C2
-// duplication), kHighReliability (C2 duplicated everywhere, FEC-bonded video
-// at a fraction of kDuplicate's 2x airtime). Bonded receive goes through a
-// bounded reorder window with per-path skew estimation; the FEC parity rate
-// follows the link-health feed (loss EWMAs, capacity forecast, armed HO
-// predictions) via bond::AdaptiveFecController.
-//
-// The two cellular links run independent radio/handover state over their own
-// cell layouts (e.g. rural P1 + rural P2) but share the UAV trajectory. With
-// SessionConfig::sat enabled the session grows to 3-way (or 4-way, with the
-// aerial mesh) multi-connectivity: the extra paths register with the same
-// LinkManager behind bond::BondablePath, the reorder window tracks their
-// skew per path, and the report carries the per-path breakdown plus the sat
-// outage/stall attribution (schema v6).
+// The bonded multi-operator run is pipeline::Session's second constructor;
+// this name stays for existing callers.
 #pragma once
 
-#include <memory>
-#include <unordered_set>
-
-#include "bond/fec_controller.hpp"
-#include "bond/link_manager.hpp"
-#include "bond/policy.hpp"
-#include "cellular/cellular_link.hpp"
-#include "geo/trajectory.hpp"
-#include "net/wan_path.hpp"
-#include "obs/event_sink.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/recorder.hpp"
-#include "pipeline/report.hpp"
 #include "pipeline/session.hpp"
-#include "pipeline/video_receiver.hpp"
-#include "pipeline/video_sender.hpp"
-#include "bond/reorder_window.hpp"
-#include "sim/simulator.hpp"
 
 namespace rpv::pipeline {
 
-// Legacy mode selector, kept for source compatibility; maps 1:1 onto the
-// first three bond::Policy values.
-enum class MultipathMode { kDuplicate, kScheduled, kFailover };
-
-[[nodiscard]] constexpr bond::Policy policy_from_mode(MultipathMode m) {
-  switch (m) {
-    case MultipathMode::kScheduled: return bond::Policy::kScheduled;
-    case MultipathMode::kFailover: return bond::Policy::kFailover;
-    case MultipathMode::kDuplicate: break;
-  }
-  return bond::Policy::kDuplicate;
-}
-
-class MultipathSession {
- public:
-  MultipathSession(SessionConfig cfg, cellular::CellLayout layout_a,
-                   cellular::CellLayout layout_b,
-                   const geo::Trajectory* trajectory,
-                   std::string environment_name, bond::Policy policy);
-
-  MultipathSession(SessionConfig cfg, cellular::CellLayout layout_a,
-                   cellular::CellLayout layout_b,
-                   const geo::Trajectory* trajectory,
-                   std::string environment_name,
-                   MultipathMode mode = MultipathMode::kDuplicate)
-      : MultipathSession(std::move(cfg), std::move(layout_a),
-                         std::move(layout_b), trajectory,
-                         std::move(environment_name), policy_from_mode(mode)) {}
-
-  SessionReport run();
-
-  // Subscribe an extra sink to both operator buses before run(). Every
-  // event is published on exactly one of the two buses, so the sink sees
-  // the union of both paths' streams exactly once per event.
-  void subscribe(obs::EventSink* sink) {
-    bus_a_.subscribe(sink);
-    bus_b_.subscribe(sink);
-  }
-
-  // The session-level stream (operator A's bus also carries bond/session
-  // events); drivers publish session-scoped events like kReplan here.
-  [[nodiscard]] obs::EventBus& observer() { return bus_a_; }
-
-  [[nodiscard]] bond::Policy policy() const { return policy_; }
-  [[nodiscard]] cellular::CellularLink& link_a() { return *link_a_; }
-  [[nodiscard]] cellular::CellularLink& link_b() { return *link_b_; }
-  // Non-null iff cfg.sat.enabled / cfg.sat.mesh_enabled.
-  [[nodiscard]] sat::SatelliteLink* sat_link() { return sat_link_.get(); }
-  [[nodiscard]] sat::MeshHopLink* mesh_link() { return mesh_link_.get(); }
-  [[nodiscard]] bond::LinkManager& link_manager() { return *lm_; }
-  // Null for legacy policies (they keep the first-copy-wins direct path).
-  [[nodiscard]] const bond::ReorderWindow* reorder_window() const {
-    return window_.get();
-  }
-  // Packets whose accepted copy arrived via the secondary link: how often the
-  // redundancy actually rescued delivery.
-  [[nodiscard]] std::uint64_t rescued_by_b() const { return rescued_by_b_; }
-  [[nodiscard]] std::uint64_t duplicates_discarded() const {
-    return window_ ? window_->duplicates_suppressed() : duplicates_discarded_;
-  }
-  // kFailover: number of active-link switches (either direction). Bonded
-  // policies: video-anchor switches.
-  [[nodiscard]] std::uint64_t failover_events() const {
-    return lm_->failover_events();
-  }
-
- private:
-  [[nodiscard]] bond::BondablePath& path_link(int i) { return lm_->path(i); }
-  void transmit_media(net::Packet p);
-  void send_on_path(int path, net::Packet p);
-  void deliver_to_receiver(net::Packet p, int path);
-  void send_feedback(const rtp::FeedbackReport& report, std::size_t size);
-  void send_command();
-  void send_telemetry();
-  void fec_tick(sim::TimePoint end);
-
-  SessionConfig cfg_;
-  bond::Policy policy_;
-  const geo::Trajectory* trajectory_;
-  std::string environment_;
-  sim::Simulator sim_;
-  sim::Rng rng_;
-  // Per-operator event buses: each link publishes onto its own stream, and a
-  // relay sink feeds that operator's predictor (no cross-talk between
-  // modems). Bond-layer events (path switches, FEC retunes, reorder flushes,
-  // class preemptions) ride bus A, the session-level stream.
-  obs::EventBus bus_a_;
-  obs::EventBus bus_b_;
-  std::unique_ptr<obs::RingBufferRecorder> recorder_;
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<obs::FunctionSink> relay_a_;
-  std::unique_ptr<obs::FunctionSink> relay_b_;
-  std::unique_ptr<cellular::CellularLink> link_a_;
-  std::unique_ptr<cellular::CellularLink> link_b_;
-  // Predictor per operator; adapter A also drives the sender's dip/deferral
-  // and (via the LinkManager) predictive switching away from the primary.
-  std::unique_ptr<predict::ProactiveAdapter> adapter_a_;
-  std::unique_ptr<predict::ProactiveAdapter> adapter_b_;
-  // Extra bonded paths (3-way multi-connectivity); constructed after every
-  // pre-existing RNG fork so 2-path runs stay byte-identical.
-  std::unique_ptr<sat::SatelliteLink> sat_link_;
-  std::unique_ptr<sat::MeshHopLink> mesh_link_;
-  std::unique_ptr<bond::LinkManager> lm_;
-  std::unique_ptr<bond::ReorderWindow> window_;       // bonded policies only
-  std::unique_ptr<bond::AdaptiveFecController> fec_ctrl_;  // FEC policies only
-  std::unique_ptr<net::WanPath> wan_up_;
-  std::unique_ptr<net::WanPath> wan_down_;
-  FrameTable table_;
-  std::unique_ptr<VideoSender> sender_;
-  std::unique_ptr<VideoReceiver> receiver_;
-
-  std::unique_ptr<fault::FaultInjector> injector_;    // owns link A + WAN
-  std::unique_ptr<fault::FaultInjector> injector_b_;  // faults_on_link_b only
-  std::unordered_set<std::uint64_t> delivered_ids_;  // legacy first-copy-wins
-  sim::TimePoint last_feedback_forwarded_ = sim::TimePoint::never();
-  std::uint64_t last_command_done_ = 0;
-  metrics::TimeSeries command_latency_ms_;
-  metrics::TimeSeries telemetry_latency_ms_;
-  std::uint64_t commands_sent_ = 0;
-  std::uint64_t telemetry_sent_ = 0;
-  std::uint64_t fec_rate_changes_ = 0;
-  std::uint64_t rescued_by_b_ = 0;
-  std::uint64_t duplicates_discarded_ = 0;
-  std::uint64_t radio_losses_ = 0;
-  std::uint64_t next_id_ = 1ULL << 52;
-};
+using MultipathSession = Session;
 
 }  // namespace rpv::pipeline

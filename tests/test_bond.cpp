@@ -13,8 +13,8 @@
 #include "bond/reorder_window.hpp"
 #include "exec/campaign_engine.hpp"
 #include "experiment/scenario.hpp"
-#include "pipeline/multipath_session.hpp"
 #include "pipeline/report_json.hpp"
+#include "pipeline/session.hpp"
 #include "rtp/fec.hpp"
 #include "sim/simulator.hpp"
 

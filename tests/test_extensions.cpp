@@ -5,7 +5,7 @@
 #include "cellular/link_queue.hpp"
 #include "experiment/scenario.hpp"
 #include "metrics/cdf.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 
 namespace rpv {
 namespace {
@@ -141,8 +141,8 @@ pipeline::SessionReport run_multipath(std::uint64_t seed,
   auto layout_b = experiment::make_layout(s2, rng);
   auto traj = experiment::make_trajectory(s, rng);
   auto cfg = experiment::make_session_config(s);
-  pipeline::MultipathSession mp{cfg, std::move(layout_a), std::move(layout_b),
-                                &traj, "mp-test"};
+  pipeline::Session mp{cfg,   std::move(layout_a), std::move(layout_b),
+                       &traj, "mp-test", bond::Policy::kDuplicate};
   auto report = mp.run();
   if (rescued) *rescued = mp.rescued_by_b();
   return report;

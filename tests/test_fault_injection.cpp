@@ -8,7 +8,7 @@
 #include "experiment/scenario.hpp"
 #include "fault/backoff.hpp"
 #include "fault/fault_schedule.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 
 namespace rpv {
 namespace {
@@ -228,12 +228,12 @@ TEST(FaultInjection, FailoverSwitchesToSecondaryDuringRlf) {
   auto traj = experiment::make_trajectory(s, rng);
   auto cfg = experiment::make_session_config(s);
   cfg.faults.rlf(60.0);
-  pipeline::MultipathSession session{cfg,
-                                     std::move(layout_a),
-                                     std::move(layout_b),
-                                     &traj,
-                                     "failover-test",
-                                     pipeline::MultipathMode::kFailover};
+  pipeline::Session session{cfg,
+                            std::move(layout_a),
+                            std::move(layout_b),
+                            &traj,
+                            "failover-test",
+                            bond::Policy::kFailover};
   const auto r = session.run();
   // The RLF takes the primary down for >1 s (T310), so the sender switched
   // to the secondary and back: at least two active-link changes.
@@ -299,6 +299,19 @@ TEST(Validation, SessionRejectsBadConfig) {
   EXPECT_THROW(
       (pipeline::Session{cfg, std::move(layout), &traj, "bad-config"}),
       std::invalid_argument);
+}
+
+TEST(Validation, BondedSessionRejectsNullTrajectory) {
+  experiment::Scenario s;
+  s.env = experiment::Environment::kRuralP1;
+  sim::Rng rng{42};
+  auto layout_a = experiment::make_layout(s, rng);
+  auto layout_b = cellular::make_rural_layout_p2(rng);
+  EXPECT_THROW((pipeline::Session{experiment::make_session_config(s),
+                                  std::move(layout_a), std::move(layout_b),
+                                  nullptr, "null-trajectory",
+                                  bond::Policy::kFailover}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include "experiment/scenario.hpp"
 #include "metrics/bootstrap.hpp"
 #include "obs/packet_log.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/qoe.hpp"
 
 namespace rpv {
@@ -234,9 +234,9 @@ TEST(MultipathScheduled, AggregatesWithoutDuplication) {
   auto layout_b = experiment::make_layout(s2, rng);
   auto traj = experiment::make_trajectory(s, rng);
   auto cfg = experiment::make_session_config(s);
-  pipeline::MultipathSession mp{cfg,  std::move(layout_a),
-                                std::move(layout_b), &traj,
-                                "mp-sched", pipeline::MultipathMode::kScheduled};
+  pipeline::Session mp{cfg,       std::move(layout_a),
+                       std::move(layout_b), &traj,
+                       "mp-sched", bond::Policy::kScheduled};
   const auto r = mp.run();
   EXPECT_EQ(r.cc_name, "static+mpsched");
   EXPECT_EQ(mp.duplicates_discarded(), 0u);  // nothing sent twice

@@ -11,7 +11,7 @@
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "json/json.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/report_json.hpp"
 #include "predict/estimators.hpp"
 #include "predict/link_predictor.hpp"
@@ -366,9 +366,12 @@ TEST(PredictMultipath, ProactiveFailoverSwitchesBeforeLinkDown) {
   auto layout_b = experiment::make_layout(s2, rng);
   auto traj = experiment::make_trajectory(s, rng);
   auto cfg = experiment::make_session_config(s);
-  pipeline::MultipathSession mp{cfg,        std::move(layout_a),
-                                std::move(layout_b), &traj,
-                                "predict-failover",  pipeline::MultipathMode::kFailover};
+  pipeline::Session mp{cfg,
+                       std::move(layout_a),
+                       std::move(layout_b),
+                       &traj,
+                       "predict-failover",
+                       bond::Policy::kFailover};
   const auto r = mp.run();
   EXPECT_TRUE(r.prediction.proactive);
   // The primary-side adapter predicted handovers and moved traffic to the
