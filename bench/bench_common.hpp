@@ -1,29 +1,26 @@
-// Shared helpers for the figure-reproduction benches.
-//
-// Each bench binary regenerates one table or figure from the paper's
-// evaluation: it runs the relevant measurement campaign on the simulator and
-// prints the same rows/series the paper plots, so shapes can be compared
-// side by side (see EXPERIMENTS.md for the paper-vs-measured record).
+// Shared helpers for the bench binaries: the --runs/--seed/--jobs parser
+// and the paper-claim evaluator behind rpv_repro.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "exec/campaign_engine.hpp"
 #include "experiment/runner.hpp"
-#include "metrics/bootstrap.hpp"
-#include "metrics/summary.hpp"
 #include "metrics/text_table.hpp"
+#include "pipeline/report.hpp"
 #include "sim/validate.hpp"
 
 namespace rpv::bench {
-
-// Fallback campaign size when a bench names no preference and the user
-// passes no --runs (the seed repo hard-coded 5 everywhere).
-inline constexpr int kFallbackRuns = 5;
 
 // Shared CLI options: every bench binary accepts
 //   --runs N   override the per-bench campaign size
@@ -42,45 +39,25 @@ inline Options& options() {
 
 // Testable core of the CLI parser: consumes argv (minus the program name) and
 // returns the parsed options, throwing std::invalid_argument via rpv::validate
-// on malformed, unknown, or out-of-range flags. Negative counts and seeds are
-// rejected here explicitly — std::stoull would otherwise wrap "--seed -5" to
-// 18446744073709551611 and run a campaign nobody asked for.
+// on malformed, unknown, or out-of-range flags (rpv::parse_int: counts must
+// fit in an int, seeds must be non-negative).
 [[nodiscard]] inline Options parse_options(const std::vector<std::string>& args) {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   Options opts;
   auto value_of = [&](std::size_t& i, const std::string& flag) -> std::string {
     validate(i + 1 < args.size(), flag + " needs a value");
     return args[++i];
   };
-  auto to_i64 = [](const std::string& flag,
-                   const std::string& text) -> std::int64_t {
-    std::size_t used = 0;
-    std::int64_t value = 0;
-    try {
-      value = std::stoll(text, &used);
-    } catch (const std::exception&) {
-      throw std::invalid_argument{"bad value for " + flag + ": '" + text + "'"};
-    }
-    validate(used == text.size() && !text.empty(),
-             "bad value for " + flag + ": '" + text + "'");
-    return value;
-  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--runs") {
-      const auto runs = to_i64(arg, value_of(i, arg));
-      validate(runs > 0, "--runs must be > 0 (got " + std::to_string(runs) + ")");
-      opts.runs = static_cast<int>(runs);
+      opts.runs = static_cast<int>(parse_int(arg, value_of(i, arg), 1, kIntMax));
     } else if (arg == "--seed") {
-      const auto seed = to_i64(arg, value_of(i, arg));
-      validate(seed >= 0,
-               "--seed must be >= 0 (got " + std::to_string(seed) + ")");
-      opts.seed = static_cast<std::uint64_t>(seed);
+      opts.seed = static_cast<std::uint64_t>(parse_int(
+          arg, value_of(i, arg), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--jobs") {
-      const auto jobs = to_i64(arg, value_of(i, arg));
-      validate(jobs >= 0,
-               "--jobs must be >= 0 (got " + std::to_string(jobs) +
-                   "; 0 = one per hardware thread)");
-      opts.jobs = static_cast<int>(jobs);
+      // 0 = one worker per hardware thread.
+      opts.jobs = static_cast<int>(parse_int(arg, value_of(i, arg), 0, kIntMax));
     } else {
       validate(false, "unknown argument: " + arg + " (try --help)");
     }
@@ -142,71 +119,96 @@ inline void print_header(const std::string& title, const std::string& paper_ref)
             << "==============================================================\n";
 }
 
-// Boxplot-style row for a sample set.
-inline void add_summary_row(metrics::TextTable& table, const std::string& label,
-                            const std::vector<double>& samples, int precision = 2) {
-  const auto s = metrics::Summary::of(samples);
-  table.add_row({label, std::to_string(s.n), metrics::TextTable::num(s.min, precision),
-                 metrics::TextTable::num(s.q1, precision),
-                 metrics::TextTable::num(s.median, precision),
-                 metrics::TextTable::num(s.q3, precision),
-                 metrics::TextTable::num(s.max, precision),
-                 metrics::TextTable::num(s.mean, precision),
-                 std::to_string(s.outliers_hi)});
+// --- Paper claims (rpv_repro) ---
+//
+// A claim states one result of the paper as a band on one number measured
+// over named cells; `metric` gets the runs of each named cell, in order.
+using Runs = std::vector<const pipeline::SessionReport*>;
+using ClaimMetric = std::function<double(const std::vector<Runs>& cells)>;
+
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// [lo, hi], both edges inclusive; an ordering leaves one end infinite.
+struct Band {
+  double lo = -kInf;
+  double hi = kInf;
+};
+
+// kKnownDeviation: outside its band, for a reason EXPERIMENTS.md records.
+enum class Expect { kPass, kKnownDeviation };
+enum class Verdict { kPass, kFail, kKnownDeviation, kXpass };
+
+struct Claim {
+  std::string id;
+  std::string ref;       // where the paper states it
+  std::string quantity;  // what is measured
+  std::string paper;     // the paper's value, as text
+  std::vector<std::string> cells;
+  ClaimMetric metric;
+  Band band;
+  Expect expect = Expect::kPass;
+};
+
+// A known deviation inside its band is an XPASS: fixed, so its row must flip
+// to kPass, just like a moved golden pin. NaN is never inside a band.
+[[nodiscard]] inline Verdict judge(const Claim& c, double measured) {
+  const bool inside = measured >= c.band.lo && measured <= c.band.hi;
+  if (c.expect == Expect::kPass) return inside ? Verdict::kPass : Verdict::kFail;
+  return inside ? Verdict::kXpass : Verdict::kKnownDeviation;
 }
 
-// "mean [lo, hi]" with a 95% bootstrap CI over the samples.
-inline std::string mean_with_ci(const std::vector<double>& samples,
-                                int precision = 2) {
-  const auto ci = metrics::bootstrap_mean_ci(samples);
-  return metrics::TextTable::num(ci.mean, precision) + " [" +
-         metrics::TextTable::num(ci.lo, precision) + ", " +
-         metrics::TextTable::num(ci.hi, precision) + "]";
+[[nodiscard]] inline std::string verdict_name(Verdict v) {
+  constexpr const char* kNames[] = {"pass", "FAIL", "known-deviation", "XPASS"};
+  return kNames[static_cast<int>(v)];
 }
 
-inline metrics::TextTable summary_table(const std::string& value_name) {
-  return metrics::TextTable{
-      {value_name, "n", "min", "q1", "median", "q3", "max", "mean", "outliers"}};
-}
-
-// CDF series printed at fixed evaluation points.
-inline void print_cdf_rows(const std::string& label, const metrics::Cdf& cdf,
-                           const std::vector<double>& xs,
-                           const std::string& x_name) {
-  std::cout << "\n[" << label << "]  (" << x_name << " -> CDF)\n";
-  for (const double x : xs) {
-    std::cout << "  " << metrics::TextTable::num(x, 1) << "\t"
-              << metrics::TextTable::num(cdf.fraction_below(x), 4) << "\n";
+// Run before anything is simulated: unique cell labels, unique non-empty
+// claim ids, and every claim has cells (all among `cell_labels`), a metric
+// and a non-empty band.
+inline void validate_claims(const std::vector<Claim>& claims,
+                            const std::vector<std::string>& cell_labels) {
+  const std::set<std::string> known(cell_labels.begin(), cell_labels.end());
+  validate(known.size() == cell_labels.size(), "duplicate cell label");
+  std::set<std::string> ids;
+  for (const auto& c : claims) {
+    validate(!c.id.empty() && ids.insert(c.id).second,
+             "empty or duplicate claim id: '" + c.id + "'");
+    validate(!c.cells.empty(), "claim " + c.id + " names no cell");
+    for (const auto& cell : c.cells) {
+      validate(known.count(cell) == 1,
+               "claim " + c.id + " names unknown cell: " + cell);
+    }
+    validate(c.metric && c.band.lo <= c.band.hi,
+             "claim " + c.id + " has no metric or an empty band");
   }
 }
 
-inline experiment::Campaign video_campaign(experiment::Environment env,
-                                           pipeline::CcKind cc,
-                                           int runs = kFallbackRuns,
-                                           std::uint64_t seed = 1000) {
-  experiment::Campaign c;
-  c.scenario.env = env;
-  c.scenario.cc = cc;
-  c.scenario.mobility = experiment::Mobility::kAir;
-  c.scenario.seed = seed_or(seed);
-  c.runs = runs_or(runs);
-  c.jobs = options().jobs;
-  return c;
-}
-
-inline experiment::Campaign probe_campaign(experiment::Environment env,
-                                           experiment::Mobility mobility,
-                                           int runs = kFallbackRuns,
-                                           std::uint64_t seed = 2000) {
-  experiment::Campaign c;
-  c.scenario.env = env;
-  c.scenario.mobility = mobility;
-  c.scenario.cc = pipeline::CcKind::kNone;
-  c.scenario.probe_interval = sim::Duration::millis(100);
-  c.scenario.seed = seed_or(seed);
-  c.runs = runs_or(runs);
-  c.jobs = options().jobs;
-  return c;
+// Evaluates every claim over its cells' runs and prints one row per claim,
+// numbers to three significant digits. Returns 1 on any FAIL (a claim broke)
+// or XPASS (a deviation was fixed but its row still says known-deviation).
+[[nodiscard]] inline int check_claims(
+    const std::vector<Claim>& claims,
+    const std::map<std::string, Runs>& runs_by_cell, std::ostream& out) {
+  auto num = [](double v) {
+    if (std::isinf(v)) return std::string{v > 0 ? "inf" : "-inf"};
+    const double a = std::abs(v);
+    return metrics::TextTable::num(v, a >= 100 ? 0 : a >= 10 ? 1 : a >= 1 ? 2 : 3);
+  };
+  metrics::TextTable table{
+      {"id", "ref", "quantity", "paper", "measured", "band", "status"}};
+  int status = 0;
+  for (const auto& c : claims) {
+    std::vector<Runs> cells;
+    for (const auto& label : c.cells) cells.push_back(runs_by_cell.at(label));
+    const double measured = c.metric(cells);
+    const auto verdict = judge(c, measured);
+    if (verdict == Verdict::kFail || verdict == Verdict::kXpass) status = 1;
+    table.add_row({c.id, c.ref, c.quantity, c.paper, num(measured),
+                   "[" + num(c.band.lo) + ", " + num(c.band.hi) + "]",
+                   verdict_name(verdict)});
+  }
+  out << table.render();
+  return status;
 }
 
 }  // namespace rpv::bench

@@ -5,10 +5,9 @@
 // P1+P2 for every method.
 #include "bench_common.hpp"
 
-#include "exec/thread_pool.hpp"
+#include <utility>
+
 #include "experiment/scenario.hpp"
-#include "pipeline/session.hpp"
-#include <string>
 
 int main(int argc, char** argv) {
   using namespace rpv;
@@ -24,44 +23,29 @@ int main(int argc, char** argv) {
     const auto runs = static_cast<std::size_t>(bench::runs_or(4));
     const std::uint64_t seed0 = bench::seed_or(3000);
 
+    // Single path (P1), then P1+P2 duplicated, then P1+P2 scheduled.
+    const std::vector<std::pair<const char*, experiment::Multipath>> arms = {
+        {"single(P1)", experiment::Multipath::kNone},
+        {"duplicate(P1+P2)", experiment::Multipath::kDuplicate},
+        {"scheduled(P1+P2)", experiment::Multipath::kScheduled}};
     std::vector<experiment::Scenario> scenarios;
-    for (std::uint64_t k = 0; k < runs; ++k) {
-      experiment::Scenario s;
-      s.env = experiment::Environment::kRuralP1;
-      s.cc = cc;
-      s.seed = seed0 + k;
-      scenarios.push_back(s);
+    for (const auto& [label, multipath] : arms) {
+      for (std::uint64_t k = 0; k < runs; ++k) {
+        experiment::Scenario s;
+        s.env = experiment::Environment::kRuralP1;
+        s.cc = cc;
+        s.seed = seed0 + k;
+        s.multipath = multipath;
+        scenarios.push_back(s);
+      }
     }
-    const auto single = bench::run_scenarios(scenarios);
+    const auto all = bench::run_scenarios(scenarios);
 
-    // The multipath arms wire two layouts into one bonded Session, which a
-    // Campaign cannot express; shard (run, policy) pairs across the pool.
-    std::vector<pipeline::SessionReport> dup(runs), sched(runs);
-    exec::parallel_for_index(runs * 2, bench::options().jobs,
-                             [&](std::size_t task) {
-      const std::size_t k = task / 2;
-      const auto policy = task % 2 == 0 ? bond::Policy::kDuplicate
-                                        : bond::Policy::kScheduled;
-      const experiment::Scenario& s = scenarios[k];
-      sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-      auto layout_a = experiment::make_layout(s, rng);
-      experiment::Scenario s2 = s;
-      s2.env = experiment::Environment::kRuralP2;
-      auto layout_b = experiment::make_layout(s2, rng);
-      auto traj = experiment::make_trajectory(s, rng);
-      auto cfg = experiment::make_session_config(s);
-      pipeline::Session mp{cfg,       std::move(layout_a),
-                           std::move(layout_b), &traj,
-                           "rural-mp", policy};
-      (policy == bond::Policy::kDuplicate ? dup : sched)[k] = mp.run();
-    });
-
-    for (const auto* label :
-         {"single(P1)", "duplicate(P1+P2)", "scheduled(P1+P2)"}) {
-      const std::string l = label;
-      const auto& rs = l == "single(P1)" ? single
-                       : l == "duplicate(P1+P2)" ? dup
-                                                 : sched;
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      const char* label = arms[a].first;
+      const std::vector<pipeline::SessionReport> rs(
+          all.begin() + static_cast<std::ptrdiff_t>(a * runs),
+          all.begin() + static_cast<std::ptrdiff_t>((a + 1) * runs));
       const auto latency = experiment::pool_playback_latency(rs);
       const auto owd = experiment::pool_owd(rs);
       const auto ssim = experiment::pool_ssim(rs);

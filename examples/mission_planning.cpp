@@ -7,6 +7,7 @@
 #include <iostream>
 #include <string>
 
+#include "exec/campaign_engine.hpp"
 #include "experiment/runner.hpp"
 #include "pipeline/qoe.hpp"
 #include "metrics/text_table.hpp"
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
       c.scenario.cc = cc;
       c.scenario.seed = 77;
       c.runs = runs;
-      const auto reports = experiment::run_campaign(c);
+      const auto reports = exec::CampaignEngine{}.run(c).reports;
 
       const auto goodput = experiment::pool_goodput(reports);
       const auto latency = experiment::pool_playback_latency(reports);

@@ -141,6 +141,14 @@ int CampaignEngine::jobs() const { return resolve_jobs(cfg_.jobs); }
 
 std::vector<pipeline::SessionReport> CampaignEngine::run_scenarios(
     const std::vector<experiment::Scenario>& scenarios) const {
+  return run_scenarios(scenarios, [&](std::size_t i) {
+    return experiment::run_scenario(scenarios[i]);
+  });
+}
+
+std::vector<pipeline::SessionReport> CampaignEngine::run_scenarios(
+    const std::vector<experiment::Scenario>& scenarios,
+    const std::function<pipeline::SessionReport(std::size_t)>& run) const {
   // Pre-flight every cell's config on the calling thread: a misconfigured
   // scenario fails the whole campaign up front with a clear message instead
   // of surfacing as an exception on a worker mid-run.
@@ -148,9 +156,8 @@ std::vector<pipeline::SessionReport> CampaignEngine::run_scenarios(
     experiment::make_session_config(s).validate();
   }
   std::vector<pipeline::SessionReport> reports(scenarios.size());
-  parallel_for_index(scenarios.size(), cfg_.jobs, [&](std::size_t i) {
-    reports[i] = experiment::run_scenario(scenarios[i]);
-  });
+  parallel_for_index(scenarios.size(), cfg_.jobs,
+                     [&](std::size_t i) { reports[i] = run(i); });
   return reports;
 }
 

@@ -6,8 +6,7 @@
 //
 //   * run_scenarios — the core primitive: N fully-specified scenarios in,
 //     N reports out, result i always belonging to scenario i;
-//   * run           — an experiment::Campaign (same seed derivation as the
-//     serial runner, so outputs are byte-identical to the legacy path);
+//   * run           — an experiment::Campaign, seeds from campaign_seeds();
 //   * run_grid      — a cross product of scenario axes (environment x
 //     mobility x congestion controller x access tech), all cells' runs
 //     flattened into one task list so stragglers in one cell overlap with
@@ -15,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,9 +95,8 @@ struct GridResult {
   int jobs = 0;  // resolved worker count used
 };
 
-// The per-run seeds a campaign expands to (base seed + i * 7919 — kept
-// identical to the historical serial runner so stored artifacts stay
-// comparable across engine versions).
+// The per-run seeds a campaign expands to: base seed + i * 7919, so stored
+// artifacts stay comparable across engine versions.
 [[nodiscard]] std::vector<std::uint64_t> campaign_seeds(
     const experiment::Campaign& c);
 
@@ -111,6 +110,13 @@ class CampaignEngine {
   // count or completion order.
   [[nodiscard]] std::vector<pipeline::SessionReport> run_scenarios(
       const std::vector<experiment::Scenario>& scenarios) const;
+
+  // Same, but run i is `run(i)` instead of run_scenario(scenarios[i]): for
+  // runs that need more than a Scenario, such as a SessionConfig tweak.
+  // Every scenario's config is still pre-flighted on the calling thread.
+  [[nodiscard]] std::vector<pipeline::SessionReport> run_scenarios(
+      const std::vector<experiment::Scenario>& scenarios,
+      const std::function<pipeline::SessionReport(std::size_t)>& run) const;
 
   // Run every scenario with a per-run MetricsRegistry subscribed to its
   // event bus and fold the registries in scenario-index order. Merging is

@@ -1,6 +1,7 @@
-// Campaign runner: repeats a scenario across seeds (the paper aggregates 130
-// measurement runs over ~90 flights) and pools the per-run reports into the
-// sample sets the figures plot.
+// Campaign description and pooling helpers: a campaign repeats a scenario
+// across seeds (the paper aggregates 130 measurement runs over ~90 flights;
+// exec::CampaignEngine runs it), and the helpers pool the per-run reports
+// into the sample sets the figures plot.
 #pragma once
 
 #include <vector>
@@ -13,18 +14,9 @@
 namespace rpv::experiment {
 
 struct Campaign {
-  Scenario scenario;       // seed field is the base seed
+  Scenario scenario;  // seed field is the base seed
   int runs = 5;
-  // Worker threads for the run shard; <= 0 means one per hardware thread.
-  // Reports come back in seed order and are byte-identical for any value.
-  int jobs = 0;
 };
-
-// Run `campaign.runs` sessions with derived seeds, sharded across
-// `campaign.jobs` workers (rpv::exec pool). Every run is an independent
-// simulation with its own RNG, so the pooled reports match a serial replay
-// exactly. Throws std::invalid_argument when campaign.runs <= 0.
-[[nodiscard]] std::vector<pipeline::SessionReport> run_campaign(const Campaign& c);
 
 // --- Pooling helpers: concatenate a per-run sample set across runs. ---
 [[nodiscard]] metrics::Cdf pool_owd(const std::vector<pipeline::SessionReport>& rs);
@@ -36,10 +28,6 @@ struct Campaign {
 [[nodiscard]] std::vector<double> pool_het(
     const std::vector<pipeline::SessionReport>& rs);
 [[nodiscard]] std::vector<double> pool_ho_frequency(
-    const std::vector<pipeline::SessionReport>& rs);
-[[nodiscard]] std::vector<double> pool_latency_ratio_before(
-    const std::vector<pipeline::SessionReport>& rs);
-[[nodiscard]] std::vector<double> pool_latency_ratio_after(
     const std::vector<pipeline::SessionReport>& rs);
 [[nodiscard]] double mean_stalls_per_minute(
     const std::vector<pipeline::SessionReport>& rs);

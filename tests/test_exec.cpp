@@ -1,8 +1,10 @@
 // rpv::exec — thread pool, parallel campaign determinism, JSON round trips,
-// and the run-artifact store.
+// the run-artifact store, and the bench CLI parser and claim evaluator.
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -140,14 +142,26 @@ std::vector<std::string> report_bytes(
   return out;
 }
 
+// The reference implementation the engine is checked against: a plain
+// serial loop of run_scenario over the campaign's seeds.
+std::vector<std::string> serial_reference(const experiment::Campaign& c) {
+  std::vector<pipeline::SessionReport> rs;
+  for (const auto seed : exec::campaign_seeds(c)) {
+    auto s = c.scenario;
+    s.seed = seed;
+    rs.push_back(experiment::run_scenario(s));
+  }
+  return report_bytes(rs);
+}
+
 TEST(CampaignEngine, ParallelReportsAreByteIdenticalToSerial) {
-  auto c = small_campaign();
-  c.jobs = 1;
-  const auto serial = report_bytes(experiment::run_campaign(c));
+  const auto c = small_campaign();
+  const auto serial =
+      report_bytes(exec::CampaignEngine{{.jobs = 1}}.run(c).reports);
   ASSERT_EQ(serial.size(), 3u);
   for (const int jobs : {2, 8}) {
-    c.jobs = jobs;
-    const auto parallel = report_bytes(experiment::run_campaign(c));
+    const auto parallel =
+        report_bytes(exec::CampaignEngine{{.jobs = jobs}}.run(c).reports);
     ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i], serial[i]) << "jobs=" << jobs << " run=" << i;
@@ -155,6 +169,7 @@ TEST(CampaignEngine, ParallelReportsAreByteIdenticalToSerial) {
   }
 }
 
+// The serial runner the engine replaced survives as serial_reference.
 TEST(CampaignEngine, EngineMatchesLegacySerialRunner) {
   const auto c = small_campaign();
   const exec::CampaignEngine engine{{.jobs = 4}};
@@ -162,19 +177,16 @@ TEST(CampaignEngine, EngineMatchesLegacySerialRunner) {
   EXPECT_EQ(result.seeds, exec::campaign_seeds(c));
   ASSERT_EQ(result.seeds.size(), 3u);
   EXPECT_EQ(result.seeds[1], c.scenario.seed + 7919);
-  auto serial = c;
-  serial.jobs = 1;
-  EXPECT_EQ(report_bytes(result.reports),
-            report_bytes(experiment::run_campaign(serial)));
+  EXPECT_EQ(report_bytes(result.reports), serial_reference(c));
   EXPECT_GT(result.wall_seconds, 0.0);
 }
 
 TEST(CampaignEngine, ValidatesCampaignAndGrid) {
   auto c = small_campaign();
-  c.runs = 0;
-  EXPECT_THROW((void)experiment::run_campaign(c), std::invalid_argument);
-  c.runs = -3;
   const exec::CampaignEngine engine;
+  c.runs = 0;
+  EXPECT_THROW((void)engine.run(c), std::invalid_argument);
+  c.runs = -3;
   EXPECT_THROW((void)engine.run(c), std::invalid_argument);
   EXPECT_THROW((void)engine.run_grid({}, 2, 1), std::invalid_argument);
   const auto cells = exec::expand_grid({}, experiment::Scenario{});
@@ -381,6 +393,14 @@ TEST(BenchOptions, RejectsNegativeCountsAndSeeds) {
                std::invalid_argument);
   EXPECT_THROW((void)bench::parse_options({"--jobs", "-1"}),
                std::invalid_argument);
+  // Values past INT_MAX used to be truncated by a cast to int: 2^32 + 1 ran
+  // one run, 2^32 + 2 two jobs, and 3e9 a negative run count.
+  EXPECT_THROW((void)bench::parse_options({"--runs", "4294967297"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)bench::parse_options({"--jobs", "4294967298"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)bench::parse_options({"--runs", "3000000000"}),
+               std::invalid_argument);
   // --jobs 0 means "one worker per hardware thread" and stays legal.
   EXPECT_EQ(bench::parse_options({"--jobs", "0"}).jobs, 0);
 }
@@ -392,6 +412,72 @@ TEST(BenchOptions, RejectsMalformedAndUnknownArguments) {
   EXPECT_THROW((void)bench::parse_options({"--runs", "3x"}),
                std::invalid_argument);
   EXPECT_THROW((void)bench::parse_options({"--bogus"}), std::invalid_argument);
+}
+
+TEST(ParseInt, AcceptsWholeIntegersInRangeOnly) {
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(parse_int("--jobs", "-2", -2, 2), -2);
+  EXPECT_EQ(parse_int("--seed", "9223372036854775807", 0, kMax), kMax);
+  for (const char* bad : {"", "3x", " 3", "+3", "0x10", "1.5", "0", "101",
+                          "9223372036854775808"}) {
+    EXPECT_THROW((void)parse_int("--runs", bad, 1, 100), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+}
+
+// --- Paper-claim evaluator (bench_common.hpp, rpv_repro) ---
+
+bench::Claim claim(std::string id, double measured, bench::Band band,
+                   bench::Expect expect = bench::Expect::kPass) {
+  return {std::move(id), "", "", "", {"cell"},
+          [measured](const std::vector<bench::Runs>&) { return measured; },
+          band, expect};
+}
+
+TEST(Claims, BandEdgesAreInclusiveAndDeviationsInsideAreXpass) {
+  using bench::Verdict;
+  const auto pass = claim("a", 0.0, {1.0, 2.0});
+  const auto dev = claim("b", 0.0, {1.0, 2.0}, bench::Expect::kKnownDeviation);
+  for (const double edge : {1.0, 2.0}) {
+    EXPECT_EQ(bench::judge(pass, edge), Verdict::kPass);
+    EXPECT_EQ(bench::judge(dev, edge), Verdict::kXpass);
+  }
+  for (const double out : {std::nextafter(1.0, 0.0), std::nextafter(2.0, 3.0),
+                           std::nan("")}) {
+    EXPECT_EQ(bench::judge(pass, out), Verdict::kFail);
+    EXPECT_EQ(bench::judge(dev, out), Verdict::kKnownDeviation);
+  }
+}
+
+TEST(Claims, FailAndXpassMakeTheExitStatusNonZero) {
+  const auto dev = bench::Expect::kKnownDeviation;
+  const auto pass = claim("pass", 1.5, {1.0, 2.0});
+  const auto known = claim("known", 5.0, {1.0, 2.0}, dev);
+  const auto fail = claim("fail", 5.0, {1.0, 2.0});
+  const auto xpass = claim("xpass", 1.5, {1.0, 2.0}, dev);
+  std::ostringstream out;
+  const auto status = [&](const std::vector<bench::Claim>& claims) {
+    return bench::check_claims(claims, {{"cell", {}}}, out);
+  };
+  EXPECT_EQ(status({pass, known}), 0);
+  EXPECT_NE(status({pass, known, fail}), 0);
+  EXPECT_NE(status({pass, known, xpass}), 0);
+  for (const char* verdict : {"pass", "known-deviation", "FAIL", "XPASS"}) {
+    EXPECT_NE(out.str().find(verdict), std::string::npos) << verdict;
+  }
+}
+
+TEST(Claims, DuplicatesAndUnknownCellsFailValidation) {
+  const std::vector<std::string> cells{"cell"};
+  const auto a = claim("a", 1.0, {0.0, 2.0});
+  auto unknown = claim("b", 1.0, {0.0, 2.0});
+  unknown.cells.push_back("nope");
+  EXPECT_NO_THROW(bench::validate_claims({a}, cells));
+  EXPECT_THROW(bench::validate_claims({a, a}, cells), std::invalid_argument);
+  EXPECT_THROW(bench::validate_claims({a, unknown}, cells),
+               std::invalid_argument);
+  EXPECT_THROW(bench::validate_claims({a}, {"cell", "cell"}),
+               std::invalid_argument);
 }
 
 }  // namespace

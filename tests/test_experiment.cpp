@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/campaign_engine.hpp"
+
 namespace rpv::experiment {
 namespace {
 
@@ -71,7 +73,7 @@ TEST(Runner, CampaignRunsRequestedCount) {
   c.scenario.env = Environment::kRuralP1;
   c.scenario.cc = pipeline::CcKind::kStatic;
   c.runs = 3;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   EXPECT_EQ(rs.size(), 3u);
   // Distinct seeds produce distinct runs.
   EXPECT_NE(rs[0].packets_sent, rs[1].packets_sent);
@@ -82,7 +84,7 @@ TEST(Runner, PoolingConcatenatesSamples) {
   c.scenario.env = Environment::kRuralP1;
   c.scenario.cc = pipeline::CcKind::kStatic;
   c.runs = 2;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   const auto owd = pool_owd(rs);
   EXPECT_EQ(owd.count(), rs[0].owd_ms.size() + rs[1].owd_ms.size());
   const auto fps = pool_fps(rs);
@@ -96,7 +98,7 @@ TEST(Runner, MeanHelpers) {
   c.scenario.env = Environment::kRuralP1;
   c.scenario.cc = pipeline::CcKind::kStatic;
   c.runs = 2;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   const double mean_per = (rs[0].per + rs[1].per) / 2.0;
   EXPECT_DOUBLE_EQ(experiment::mean_per(rs), mean_per);
   EXPECT_GE(mean_stalls_per_minute(rs), 0.0);
@@ -108,7 +110,7 @@ TEST(Runner, RttBandFiltering) {
   c.scenario.cc = pipeline::CcKind::kNone;
   c.scenario.probe_interval = sim::Duration::millis(200);
   c.runs = 1;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   const auto low = pool_rtt_in_band(rs, 0.0, 20.0);
   const auto high = pool_rtt_in_band(rs, 101.0, 140.0);
   EXPECT_GT(low.count(), 0u);

@@ -391,9 +391,8 @@ TEST(PredictDeterminism, ProactiveRunsAreByteIdenticalAcrossJobs) {
   c.runs = 2;
 
   auto bytes_for = [&](int jobs) {
-    c.jobs = jobs;
     std::vector<std::string> out;
-    for (const auto& r : experiment::run_campaign(c)) {
+    for (const auto& r : exec::CampaignEngine{{.jobs = jobs}}.run(c).reports) {
       out.push_back(pipeline::report_to_json(r).dump());
     }
     return out;

@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "fleet/fleet_engine.hpp"
 #include "metrics/cdf.hpp"
 #include "metrics/text_table.hpp"
+#include "sim/validate.hpp"
 
 namespace {
 
@@ -357,25 +359,29 @@ int main(int argc, char** argv) {
   std::optional<int> fleet_sessions;
   std::optional<std::string> fleet_env;
   double fleet_horizon = 60.0;
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t kSeedMax = std::numeric_limits<std::int64_t>::max();
 
   auto value_of = [&](int& i, const std::string& flag) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << flag << " needs a value\n";
-      std::exit(2);
-    }
+    validate(i + 1 < argc, flag + " needs a value");
     return argv[++i];
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
-      if (arg == "--runs") runs = std::stoi(value_of(i, arg));
-      else if (arg == "--seed") seed = std::stoull(value_of(i, arg));
-      else if (arg == "--jobs") jobs = std::stoi(value_of(i, arg));
+      const auto int_value = [&](std::int64_t lo, std::int64_t hi) {
+        return parse_int(arg, value_of(i, arg), lo, hi);
+      };
+      if (arg == "--runs") runs = static_cast<int>(int_value(1, kIntMax));
+      else if (arg == "--seed") seed = int_value(0, kSeedMax);
+      else if (arg == "--jobs") jobs = static_cast<int>(int_value(0, kIntMax));
       else if (arg == "--out") out_dir = value_of(i, arg);
       else if (arg == "--name") campaign_name = value_of(i, arg);
       else if (arg == "--load") load_dir = value_of(i, arg);
       else if (arg == "--observe") observe = true;
-      else if (arg == "--sessions") fleet_sessions = std::stoi(value_of(i, arg));
+      else if (arg == "--sessions") {
+        fleet_sessions = static_cast<int>(int_value(1, kIntMax));
+      }
       else if (arg == "--env") {
         // Validate eagerly so a typo fails with the full usage text instead
         // of surfacing later (or silently defaulting).
@@ -420,8 +426,12 @@ int main(int argc, char** argv) {
         std::cerr << "unknown argument: " << arg << "\n";
         return 2;
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const std::exception& e) {
+      // Our messages name the flag; std::stod's does not.
+      std::cerr << "error: "
+                << (arg == "--horizon" ? "bad value for --horizon" : e.what())
+                << "\n\n";
+      print_usage();
       return 2;
     }
   }
