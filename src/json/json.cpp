@@ -10,15 +10,58 @@
 
 namespace rpv::json {
 
+Value::Value(std::string s)
+    : kind_{Kind::kString}, p_{.s = new std::string(std::move(s))} {}
+
+Value::Value(const char* s) : kind_{Kind::kString}, p_{.s = new std::string(s)} {}
+
+Value::Value(const Value& other) : kind_{other.kind_}, p_{other.p_} {
+  switch (kind_) {
+    case Kind::kString: p_.s = new std::string(*other.p_.s); break;
+    case Kind::kArray: p_.a = new std::vector<Value>(*other.p_.a); break;
+    case Kind::kObject: p_.o = new std::vector<Member>(*other.p_.o); break;
+    default: break;
+  }
+}
+
+Value& Value::operator=(const Value& other) {
+  if (this != &other) *this = Value{other};
+  return *this;
+}
+
+Value& Value::operator=(Value&& other) noexcept {
+  if (this == &other) return *this;
+  // Take the new payload before freeing the old one: `other` may live inside
+  // the tree *this is about to release.
+  const Kind old_kind = kind_;
+  const Payload old = p_;
+  kind_ = other.kind_;
+  p_ = other.p_;
+  other.kind_ = Kind::kNull;
+  if (old_kind >= Kind::kString) release(old_kind, old);
+  return *this;
+}
+
+void Value::release(Kind kind, Payload p) noexcept {
+  switch (kind) {
+    case Kind::kString: delete p.s; break;
+    case Kind::kArray: delete p.a; break;
+    case Kind::kObject: delete p.o; break;
+    default: break;
+  }
+}
+
 Value Value::array() {
   Value v;
   v.kind_ = Kind::kArray;
+  v.p_.a = new std::vector<Value>();
   return v;
 }
 
 Value Value::object() {
   Value v;
   v.kind_ = Kind::kObject;
+  v.p_.o = new std::vector<Member>();
   return v;
 }
 
@@ -31,69 +74,69 @@ namespace {
 
 bool Value::as_bool() const {
   if (kind_ != Kind::kBool) type_error("bool", kind_);
-  return bool_;
+  return p_.b;
 }
 
 std::int64_t Value::as_i64() const {
   switch (kind_) {
-    case Kind::kInt: return int_;
-    case Kind::kUint: return static_cast<std::int64_t>(uint_);
-    case Kind::kDouble: return static_cast<std::int64_t>(double_);
+    case Kind::kInt: return p_.i;
+    case Kind::kUint: return static_cast<std::int64_t>(p_.u);
+    case Kind::kDouble: return static_cast<std::int64_t>(p_.d);
     default: type_error("number", kind_);
   }
 }
 
 std::uint64_t Value::as_u64() const {
   switch (kind_) {
-    case Kind::kInt: return static_cast<std::uint64_t>(int_);
-    case Kind::kUint: return uint_;
-    case Kind::kDouble: return static_cast<std::uint64_t>(double_);
+    case Kind::kInt: return static_cast<std::uint64_t>(p_.i);
+    case Kind::kUint: return p_.u;
+    case Kind::kDouble: return static_cast<std::uint64_t>(p_.d);
     default: type_error("number", kind_);
   }
 }
 
 double Value::as_double() const {
   switch (kind_) {
-    case Kind::kInt: return static_cast<double>(int_);
-    case Kind::kUint: return static_cast<double>(uint_);
-    case Kind::kDouble: return double_;
+    case Kind::kInt: return static_cast<double>(p_.i);
+    case Kind::kUint: return static_cast<double>(p_.u);
+    case Kind::kDouble: return p_.d;
     default: type_error("number", kind_);
   }
 }
 
 const std::string& Value::as_string() const {
   if (kind_ != Kind::kString) type_error("string", kind_);
-  return string_;
+  return *p_.s;
 }
 
 Value& Value::push_back(Value v) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kArray;
+  if (kind_ == Kind::kNull) *this = array();
   if (kind_ != Kind::kArray) type_error("array", kind_);
-  array_.push_back(std::move(v));
+  p_.a->push_back(std::move(v));
   return *this;
 }
 
 const std::vector<Value>& Value::items() const {
   if (kind_ != Kind::kArray) type_error("array", kind_);
-  return array_;
+  return *p_.a;
 }
 
 Value& Value::set(std::string key, Value v) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kObject;
+  if (kind_ == Kind::kNull) *this = object();
   if (kind_ != Kind::kObject) type_error("object", kind_);
-  for (auto& m : object_) {
+  for (auto& m : *p_.o) {
     if (m.key == key) {
       m.value = std::move(v);
       return *this;
     }
   }
-  object_.push_back(Member{std::move(key), std::move(v)});
+  p_.o->push_back(Member{std::move(key), std::move(v)});
   return *this;
 }
 
 const Value* Value::find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
-  for (const auto& m : object_) {
+  for (const auto& m : *p_.o) {
     if (m.key == key) return &m.value;
   }
   return nullptr;
@@ -109,14 +152,14 @@ const Value& Value::at(std::string_view key) const {
 
 const std::vector<Member>& Value::members() const {
   if (kind_ != Kind::kObject) type_error("object", kind_);
-  return object_;
+  return *p_.o;
 }
 
 std::size_t Value::size() const {
   switch (kind_) {
-    case Kind::kArray: return array_.size();
-    case Kind::kObject: return object_.size();
-    case Kind::kString: return string_.size();
+    case Kind::kArray: return p_.a->size();
+    case Kind::kObject: return p_.o->size();
+    case Kind::kString: return p_.s->size();
     default: return 0;
   }
 }
@@ -147,15 +190,20 @@ void append_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
+template <typename T>
+void append_number(std::string& out, T x) {
+  char buf[32];
+  // For doubles: the shortest representation that round-trips the exact bits.
+  const auto res = std::to_chars(buf, buf + sizeof buf, x);
+  out.append(buf, res.ptr);
+}
+
 void append_double(std::string& out, double d) {
   if (!std::isfinite(d)) {
     out += "null";  // JSON has no inf/nan; loaders read null as NaN
     return;
   }
-  char buf[32];
-  // Shortest representation that round-trips the exact bits.
-  const auto res = std::to_chars(buf, buf + sizeof buf, d);
-  out.append(buf, res.ptr);
+  append_number(out, d);
 }
 
 void append_newline_indent(std::string& out, int indent, int depth) {
@@ -168,32 +216,34 @@ void append_newline_indent(std::string& out, int indent, int depth) {
 void Value::dump_to(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::kNull: out += "null"; return;
-    case Kind::kBool: out += bool_ ? "true" : "false"; return;
-    case Kind::kInt: out += std::to_string(int_); return;
-    case Kind::kUint: out += std::to_string(uint_); return;
-    case Kind::kDouble: append_double(out, double_); return;
-    case Kind::kString: append_escaped(out, string_); return;
+    case Kind::kBool: out += p_.b ? "true" : "false"; return;
+    case Kind::kInt: append_number(out, p_.i); return;
+    case Kind::kUint: append_number(out, p_.u); return;
+    case Kind::kDouble: append_double(out, p_.d); return;
+    case Kind::kString: append_escaped(out, *p_.s); return;
     case Kind::kArray: {
+      const std::vector<Value>& items = *p_.a;
       out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out += indent >= 0 ? ", " : ",";
-        array_[i].dump_to(out, indent, depth);
+        items[i].dump_to(out, indent, depth);
       }
       out += ']';
       return;
     }
     case Kind::kObject: {
+      const std::vector<Member>& members = *p_.o;
       out += '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
+      for (std::size_t i = 0; i < members.size(); ++i) {
         if (i > 0) out += ',';
         if (indent >= 0) {
           append_newline_indent(out, indent, depth + 1);
         }
-        append_escaped(out, object_[i].key);
+        append_escaped(out, members[i].key);
         out += indent >= 0 ? ": " : ":";
-        object_[i].value.dump_to(out, indent, depth + 1);
+        members[i].value.dump_to(out, indent, depth + 1);
       }
-      if (indent >= 0 && !object_.empty()) {
+      if (indent >= 0 && !members.empty()) {
         append_newline_indent(out, indent, depth);
       }
       out += '}';
@@ -257,8 +307,15 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxParseDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxParseDepth));
+        }
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value{parse_string()};
       case 't':
         if (consume_literal("true")) return Value{true};
@@ -413,6 +470,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around the current position
 };
 
 }  // namespace

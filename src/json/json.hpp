@@ -8,6 +8,13 @@
 // tests can compare serialized reports verbatim; and exact integer fidelity
 // (64-bit counters are kept as integers, never squeezed through a double).
 // No third-party dependency: the toolchain image is frozen.
+//
+// Layout: a Value is a 16-byte tagged union — the kind plus one 8-byte
+// payload that is either the scalar itself (bool, int64, uint64, double) or
+// an owning pointer to the string, array or object. A campaign report holds
+// millions of per-packet samples, so the node size sets both the time to
+// build the tree and the peak memory of the process that serializes it.
+// Copies are deep; a moved-from Value is null.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +36,24 @@ class Value {
  public:
   enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject };
 
-  Value() = default;  // null
-  Value(bool b) : kind_{Kind::kBool}, bool_{b} {}
-  Value(int i) : kind_{Kind::kInt}, int_{i} {}
-  Value(std::int64_t i) : kind_{Kind::kInt}, int_{i} {}
-  Value(std::uint64_t u) : kind_{Kind::kUint}, uint_{u} {}
-  Value(double d) : kind_{Kind::kDouble}, double_{d} {}
-  Value(std::string s) : kind_{Kind::kString}, string_{std::move(s)} {}
-  Value(const char* s) : kind_{Kind::kString}, string_{s} {}
+  Value() noexcept = default;  // null
+  Value(bool b) noexcept : kind_{Kind::kBool}, p_{.b = b} {}
+  Value(int i) noexcept : kind_{Kind::kInt}, p_{.i = i} {}
+  Value(std::int64_t i) noexcept : kind_{Kind::kInt}, p_{.i = i} {}
+  Value(std::uint64_t u) noexcept : kind_{Kind::kUint}, p_{.u = u} {}
+  Value(double d) noexcept : kind_{Kind::kDouble}, p_{.d = d} {}
+  Value(std::string s);
+  Value(const char* s);
+
+  Value(const Value& other);
+  Value(Value&& other) noexcept : kind_{other.kind_}, p_{other.p_} {
+    other.kind_ = Kind::kNull;
+  }
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value() {
+    if (kind_ >= Kind::kString) release(kind_, p_);
+  }
 
   [[nodiscard]] static Value array();
   [[nodiscard]] static Value object();
@@ -78,25 +95,39 @@ class Value {
   [[nodiscard]] std::string dump(int indent = -1) const;
 
  private:
+  // The scalar, or the owning pointer of a kString/kArray/kObject node
+  // (never null for those kinds).
+  union Payload {
+    bool b;
+    std::int64_t i;
+    std::uint64_t u;
+    double d;
+    std::string* s;
+    std::vector<Value>* a;
+    std::vector<Member>* o;
+  };
+
+  static void release(Kind kind, Payload p) noexcept;
   void dump_to(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::vector<Value> array_;
-  std::vector<Member> object_;
+  Payload p_{.u = 0};
 };
+
+static_assert(sizeof(Value) <= 16, "json::Value must stay a 16-byte node");
 
 struct Member {
   std::string key;
   Value value;
 };
 
+// Deeper nesting than this is rejected by parse(): reports nest about four
+// levels, and the bound keeps the recursive parser off the end of the stack.
+inline constexpr int kMaxParseDepth = 512;
+
 // Parse a complete JSON document; throws std::runtime_error with an offset
-// on malformed input. Integer tokens without '.'/'e' parse as kInt/kUint.
+// on malformed input or nesting deeper than kMaxParseDepth. Integer tokens
+// without '.'/'e' parse as kInt/kUint.
 [[nodiscard]] Value parse(std::string_view text);
 
 // Non-throwing variant for probing possibly-corrupt files.

@@ -1,5 +1,5 @@
-// rpv::exec — thread pool, parallel campaign determinism, JSON round trips,
-// the run-artifact store, and the bench CLI parser and claim evaluator.
+// rpv::exec — thread pool, parallel campaign determinism, report JSON round
+// trips, the run-artifact store, and the bench CLI parser and claim evaluator.
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -66,61 +66,6 @@ TEST(ParallelFor, PropagatesExceptions) {
                                  if (i == 7) throw std::runtime_error{"boom"};
                                }),
       std::runtime_error);
-}
-
-// --- JSON value model ---
-
-TEST(Json, ScalarRoundTrip) {
-  EXPECT_EQ(json::parse("null").kind(), json::Value::Kind::kNull);
-  EXPECT_TRUE(json::parse("true").as_bool());
-  EXPECT_EQ(json::parse("-42").as_i64(), -42);
-  EXPECT_EQ(json::parse("18446744073709551615").as_u64(),
-            18446744073709551615ULL);
-  EXPECT_DOUBLE_EQ(json::parse("0.25").as_double(), 0.25);
-  EXPECT_EQ(json::parse("\"a\\nb\"").as_string(), "a\nb");
-}
-
-TEST(Json, DoubleDumpIsShortestRoundTrip) {
-  const double x = 0.1;
-  const auto v = json::parse(json::Value{x}.dump());
-  EXPECT_EQ(v.as_double(), x);
-  EXPECT_EQ(json::Value{x}.dump(), "0.1");
-}
-
-TEST(Json, ObjectKeepsInsertionOrder) {
-  json::Value obj = json::Value::object();
-  obj.set("zeta", 1).set("alpha", 2).set("mid", 3);
-  EXPECT_EQ(obj.dump(), "{\"zeta\":1,\"alpha\":2,\"mid\":3}");
-  // Overwrite keeps the original slot.
-  obj.set("alpha", 9);
-  EXPECT_EQ(obj.dump(), "{\"zeta\":1,\"alpha\":9,\"mid\":3}");
-}
-
-TEST(Json, NestedDocumentRoundTrip) {
-  const std::string text =
-      R"({"a":[1,2.5,"x",null,true],"b":{"c":[{"d":-7}]},"e":""})";
-  const auto v = json::parse(text);
-  EXPECT_EQ(v.dump(), text);
-  EXPECT_EQ(v.at("b").at("c").items().at(0).at("d").as_i64(), -7);
-}
-
-TEST(Json, ParseErrorsThrow) {
-  EXPECT_THROW(json::parse("{"), std::runtime_error);
-  EXPECT_THROW(json::parse("[1,]"), std::runtime_error);
-  EXPECT_THROW(json::parse("tru"), std::runtime_error);
-  EXPECT_THROW(json::parse("{} x"), std::runtime_error);
-  EXPECT_FALSE(json::try_parse("nope").has_value());
-  EXPECT_TRUE(json::try_parse("[]").has_value());
-}
-
-TEST(Json, MissingKeyNamesTheKey) {
-  const auto v = json::parse("{\"a\":1}");
-  try {
-    (void)v.at("missing");
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("missing"), std::string::npos);
-  }
 }
 
 // --- Campaign determinism: parallel == serial, byte for byte ---
