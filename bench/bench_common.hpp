@@ -1,10 +1,15 @@
-// Shared helpers for the bench binaries: the --runs/--seed/--jobs parser
-// and the paper-claim evaluator behind rpv_repro.
+// Shared helpers for the bench binaries: the --runs/--seed/--jobs parser,
+// host measurements (peak RSS, wall and CPU clocks) and the paper-claim
+// evaluator behind rpv_repro.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <ctime>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -102,6 +107,28 @@ inline void parse_args(int argc, char** argv) {
 }
 [[nodiscard]] inline std::uint64_t seed_or(std::uint64_t bench_default) {
   return options().seed.value_or(bench_default);
+}
+
+// High-water resident set size of this process, in MB.
+[[nodiscard]] inline double peak_rss_mb() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+}
+
+// Monotonic wall clock, in seconds.
+[[nodiscard]] inline double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// CPU time of this process, in seconds. A single-threaded timed section
+// read on this clock does not count the time the host ran other work.
+[[nodiscard]] inline double cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 // Run a hand-built scenario list through the parallel campaign engine,

@@ -18,18 +18,17 @@
 //
 //   bench_core_queue [--events N] [--outstanding K] [--seed S]
 //                    [--bench-json PATH]
-#include <sys/resource.h>
-
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "json/json.hpp"
 #include "metrics/text_table.hpp"
 #include "sim/event_queue.hpp"
@@ -40,18 +39,13 @@
 namespace {
 
 using namespace rpv;
+using bench::now_seconds;
+using bench::peak_rss_mb;
 
-double peak_rss_mb() {
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
-}
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+// Every outstanding timer holds a queue slot; the cap keeps a mistyped count
+// from exhausting memory.
+constexpr std::int64_t kMaxOutstanding = 10'000'000;
 
 struct WorkloadResult {
   std::uint64_t executed = 0;
@@ -212,7 +206,8 @@ void print_usage(const char* prog) {
             << " [--events N] [--outstanding K] [--seed S]\n"
                "                 [--bench-json PATH]\n"
                "  --events N        events per workload (default 4000000)\n"
-               "  --outstanding K   concurrent timers (default 4096)\n"
+               "  --outstanding K   concurrent timers (default 4096, at most "
+               "10000000)\n"
                "  --seed S          rng seed (default 42)\n"
                "  --bench-json PATH write the perf baseline rows as "
                "canonical JSON\n";
@@ -236,10 +231,15 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
-      if (arg == "--events") events = std::stoull(value_of(i, arg));
+      if (arg == "--events")
+        events = static_cast<std::uint64_t>(
+            parse_int(arg, value_of(i, arg), 1, kInt64Max));
       else if (arg == "--outstanding")
-        outstanding = std::stoull(value_of(i, arg));
-      else if (arg == "--seed") seed = std::stoull(value_of(i, arg));
+        outstanding = static_cast<std::size_t>(
+            parse_int(arg, value_of(i, arg), 1, kMaxOutstanding));
+      else if (arg == "--seed")
+        seed = static_cast<std::uint64_t>(
+            parse_int(arg, value_of(i, arg), 0, kInt64Max));
       else if (arg == "--bench-json") bench_json = value_of(i, arg);
       else if (arg == "--help" || arg == "-h") {
         print_usage(argv[0]);
@@ -250,13 +250,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } catch (const std::exception& e) {
-      std::cerr << "bad value for " << arg << ": " << e.what() << "\n\n";
+      std::cerr << e.what() << "\n\n";
       print_usage(argv[0]);
       return 2;
     }
   }
-  rpv::validate(events > 0, "--events must be positive");
-  rpv::validate(outstanding > 0, "--outstanding must be positive");
 
   std::cout
       << "==============================================================\n"

@@ -16,8 +16,6 @@
 //
 //   bench_ext_fleet [--sizes CSV] [--env E] [--horizon SEC] [--epoch SEC]
 //                   [--seed S] [--jobs J] [--bench-json PATH]
-#include <sys/resource.h>
-
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -25,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "json/json.hpp"
 #include "metrics/text_table.hpp"
@@ -34,12 +33,7 @@
 namespace {
 
 using namespace rpv;
-
-double peak_rss_mb() {
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
-}
+using bench::peak_rss_mb;
 
 std::vector<int> parse_sizes(const std::string& csv) {
   std::vector<int> sizes;
