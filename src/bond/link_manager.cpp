@@ -260,11 +260,11 @@ RouteDecision LinkManager::route_bonded_video(const std::vector<int>& candidates
       p.kind == net::PacketKind::kRtpVideo && candidates.size() > 1) {
     // Selective duplication: keyframe loss costs a PLI round trip plus a
     // whole re-encoded IDR, so those packets ride two paths.
-    std::vector<int> others;
+    others_.clear();
     for (const int i : candidates) {
-      if (i != primary) others.push_back(i);
+      if (i != primary) others_.push_back(i);
     }
-    dup = least_queued(others);
+    dup = least_queued(others_);
     ++duplicates_routed_;
   }
   return {primary, dup};
@@ -293,14 +293,14 @@ RouteDecision LinkManager::route_priority(TrafficClass cls,
        cfg_.policy == Policy::kBalanced)) {
     // C2 is the safety-critical stream: duplicate it across operators (the
     // reliability policies pay the few extra bytes; kLowLatency does not).
-    std::vector<int> others;
+    others_.clear();
     for (int i = 0; i < static_cast<int>(paths_.size()); ++i) {
       if (i != primary && !paths_[static_cast<std::size_t>(i)].down) {
-        others.push_back(i);
+        others_.push_back(i);
       }
     }
-    if (!others.empty()) {
-      dup = least_queued(others);
+    if (!others_.empty()) {
+      dup = least_queued(others_);
       ++duplicates_routed_;
     }
   }
@@ -312,10 +312,9 @@ RouteDecision LinkManager::route(TrafficClass cls, const net::Packet& p) {
   if (paths_.size() == 1) return {0, -1};
   if (!is_bonded(cfg_.policy)) return route_legacy(p);
 
-  std::vector<int> candidates;
-  refresh(candidates);
-  if (cls == TrafficClass::kVideo) return route_bonded_video(candidates, p);
-  return route_priority(cls, candidates);
+  refresh(candidates_);
+  if (cls == TrafficClass::kVideo) return route_bonded_video(candidates_, p);
+  return route_priority(cls, candidates_);
 }
 
 void LinkManager::note_sent(int path, std::size_t bytes) {

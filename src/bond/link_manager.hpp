@@ -170,6 +170,11 @@ class LinkManager {
   // Adapters created by the cellular add_path overload.
   std::vector<std::unique_ptr<CellularPathAdapter>> owned_adapters_;
 
+  // Per-route() scratch, kept to spare an allocation per packet: the
+  // eligible paths and, for a duplicate, the candidates other than primary.
+  std::vector<int> candidates_;
+  std::vector<int> others_;
+
   int anchor_ = 0;  // current video path (kLowLatency / legacy kFailover)
   bool failover_on_b_ = false;  // legacy kFailover state
   // Per-class diversion state (kClassPreempt publishes on transitions only).

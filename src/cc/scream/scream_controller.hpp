@@ -16,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "cc/rate_controller.hpp"
+#include "rtp/seq_window.hpp"
 #include "rtp/sequence.hpp"
 
 namespace rpv::cc::scream {
@@ -81,7 +81,14 @@ class ScreamController final : public RateController {
     std::size_t size_bytes = 0;
     sim::TimePoint send_time;
   };
+  // Initial flight slots: a 25 Mbps stream keeps ~250 packets in flight.
+  static constexpr std::size_t kFlightSlots = 512;
 
+  // Unwraps a reported seq against the send-side numbering: send seqs are
+  // dense, so it is the 16-bit offset back from the newest sent seq.
+  [[nodiscard]] std::int64_t unwrap_reported(std::uint16_t transport_seq) const {
+    return unwrapper_.highest() - rtp::seq_diff(last_sent_seq_, transport_seq);
+  }
   void declare_lost(std::int64_t seq, sim::TimePoint now);
   void maybe_loss_event(sim::TimePoint now);
   void update_rate(sim::TimePoint now);
@@ -91,7 +98,10 @@ class ScreamController final : public RateController {
   std::size_t cwnd_;
   std::size_t bytes_in_flight_ = 0;
 
-  std::map<std::int64_t, Flight> flights_;  // unwrapped transport seq
+  // Unwrapped transport seq -> flight, allocated on the first send. Send
+  // seqs are dense, so the span of live keys is the packets sent since the
+  // oldest unacknowledged one (bounded by flight_timeout via on_tick).
+  rtp::SeqWindow<Flight> flights_{kFlightSlots};
   rtp::SeqUnwrapper unwrapper_;
   std::uint16_t last_sent_seq_ = 0;
 

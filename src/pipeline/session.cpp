@@ -213,8 +213,8 @@ Session::Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
 
   receiver_ = std::make_unique<VideoReceiver>(
       sim_, cfg_.receiver, table_,
-      [this](const rtp::FeedbackReport& report, std::size_t size) {
-        send_feedback(report, size);
+      [this](rtp::FeedbackReport report, std::size_t size) {
+        send_feedback(std::move(report), size);
       },
       rng_.fork(), fec_table);
   sender_ = std::make_unique<VideoSender>(
@@ -356,35 +356,36 @@ void Session::deliver_bonded(net::Packet p, int path) {
   });
 }
 
-void Session::send_feedback(const rtp::FeedbackReport& report,
-                            std::size_t size) {
+void Session::send_feedback(rtp::FeedbackReport report, std::size_t size) {
   net::Packet fb;
   fb.kind = net::PacketKind::kRtcpFeedback;
   fb.size_bytes = size;
   if (!lm_) {
-    // WAN back-haul then the cellular downlink.
+    // WAN back-haul then the cellular downlink; the report moves into each
+    // closure in turn.
     fb.id = next_id_++;
     const auto wan_delay = wan_down_->sample_delay();
     if (wan_down_->drops_packet(sim_.now(), fb.id,
                                 static_cast<std::uint32_t>(fb.size_bytes))) {
       return;
     }
-    sim_.schedule_in(wan_delay, [this, fb, report] {
-      link().send_downlink(fb, [this, report](net::Packet) {
+    sim_.schedule_in(wan_delay, [this, fb, report = std::move(report)]() mutable {
+      link().send_downlink(fb, [this, report = std::move(report)](net::Packet) {
         if (sender_) sender_->on_feedback(report);
       });
     });
     return;
   }
-  const auto generated = report.generated;
-  auto forward = [this, report, generated](net::Packet) {
+  // Every path carries a copy of the packet; they share one report.
+  auto shared = std::make_shared<const rtp::FeedbackReport>(std::move(report));
+  auto forward = [this, shared](net::Packet) {
     // First copy wins; the duplicates are ignored.
     if (!last_feedback_forwarded_.is_never() &&
-        generated <= last_feedback_forwarded_) {
+        shared->generated <= last_feedback_forwarded_) {
       return;
     }
-    last_feedback_forwarded_ = generated;
-    if (sender_) sender_->on_feedback(report);
+    last_feedback_forwarded_ = shared->generated;
+    if (sender_) sender_->on_feedback(*shared);
   };
   const auto delay = wan_down_->sample_delay();
   sim_.schedule_in(delay, [this, fb, forward] {

@@ -224,7 +224,7 @@ class Session {
   void send_media(net::Packet p);
   void send_on_path(int path, net::Packet p);
   void deliver_bonded(net::Packet p, int path);
-  void send_feedback(const rtp::FeedbackReport& report, std::size_t size);
+  void send_feedback(rtp::FeedbackReport report, std::size_t size);
   void downlink_on(int path, net::Packet p, bond::BondablePath::DeliverFn fn);
   void send_probe();
   void send_command();

@@ -60,8 +60,10 @@ struct ReceiverConfig {
 
 class VideoReceiver {
  public:
-  // Sends a feedback report back to the sender over the return path.
-  using FeedbackFn = std::function<void(const rtp::FeedbackReport&, std::size_t)>;
+  // Sends a feedback report back to the sender over the return path. The
+  // report is handed over by value: the receiver builds a fresh one per
+  // feedback tick, so the return path can move it instead of copying.
+  using FeedbackFn = std::function<void(rtp::FeedbackReport, std::size_t)>;
 
   VideoReceiver(sim::Simulator& simulator, ReceiverConfig cfg,
                 const FrameTable& table, FeedbackFn send_feedback, sim::Rng rng,

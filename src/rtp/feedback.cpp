@@ -1,12 +1,24 @@
 #include "rtp/feedback.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "rtp/sequence.hpp"
+#include "sim/validate.hpp"
 
 namespace rpv::rtp {
 namespace {
 
 std::uint16_t rewrap(std::int64_t unwrapped) {
   return static_cast<std::uint16_t>(unwrapped & 0xFFFF);
+}
+
+int checked_ack_window(int w) {
+  validate(w >= 1 && w <= Rfc8888Collector::kMaxAckWindow,
+           "Rfc8888Collector: ack window must be in [1, " +
+               std::to_string(Rfc8888Collector::kMaxAckWindow) + "] (got " +
+               std::to_string(w) + ")");
+  return w;
 }
 
 }  // namespace
@@ -50,16 +62,18 @@ FeedbackReport TwccCollector::build_report(sim::TimePoint now) {
   return report;
 }
 
+Rfc8888Collector::Rfc8888Collector(int ack_window)
+    : ack_window_{checked_ack_window(ack_window)},
+      arrivals_{4 * static_cast<std::size_t>(ack_window_) + 1} {}
+
 void Rfc8888Collector::on_packet(std::uint16_t transport_seq, sim::TimePoint arrival) {
   const std::int64_t s = unwrapper_.unwrap(transport_seq);
-  arrivals_.emplace(s, arrival);
   any_seen_ = true;
   if (s > highest_) highest_ = s;
   // Trim state well behind any feedback window we could still report.
   const std::int64_t keep_from = highest_ - 4 * ack_window_;
-  while (!arrivals_.empty() && arrivals_.begin()->first < keep_from) {
-    arrivals_.erase(arrivals_.begin());
-  }
+  arrivals_.erase_below(keep_from);
+  if (s >= keep_from) arrivals_.insert(s, arrival);
 }
 
 FeedbackReport Rfc8888Collector::build_report(sim::TimePoint now) const {
@@ -67,18 +81,17 @@ FeedbackReport Rfc8888Collector::build_report(sim::TimePoint now) const {
   report.generated = now;
   if (!any_seen_) return report;
   const std::int64_t first = std::max<std::int64_t>(
-      arrivals_.empty() ? highest_ : arrivals_.begin()->first,
+      arrivals_.empty() ? highest_ : arrivals_.front(),
       highest_ - ack_window_ + 1);
-  report.results.reserve(static_cast<std::size_t>(highest_ - first + 1));
-  for (std::int64_t s = first; s <= highest_; ++s) {
-    PacketResult r;
+  report.results.resize(static_cast<std::size_t>(highest_ - first + 1));
+  std::int64_t s = first;
+  for (PacketResult& r : report.results) {
     r.transport_seq = rewrap(s);
-    const auto it = arrivals_.find(s);
-    if (it != arrivals_.end()) {
+    if (const sim::TimePoint* arrival = arrivals_.find(s)) {
       r.received = true;
-      r.arrival = it->second;
+      r.arrival = *arrival;
     }
-    report.results.push_back(r);
+    ++s;
   }
   return report;
 }

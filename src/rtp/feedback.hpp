@@ -16,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "rtp/seq_window.hpp"
 #include "rtp/sequence.hpp"
 #include "sim/time.hpp"
 
@@ -63,7 +63,10 @@ class TwccCollector {
 // Receiver-side collector for RFC 8888 feedback (SCReAM).
 class Rfc8888Collector {
  public:
-  explicit Rfc8888Collector(int ack_window = 64) : ack_window_{ack_window} {}
+  static constexpr int kMaxAckWindow = 8192;
+
+  // Throws std::invalid_argument unless 1 <= ack_window <= kMaxAckWindow.
+  explicit Rfc8888Collector(int ack_window = 64);
 
   void on_packet(std::uint16_t transport_seq, sim::TimePoint arrival);
 
@@ -75,7 +78,10 @@ class Rfc8888Collector {
 
  private:
   int ack_window_;
-  std::map<std::int64_t, sim::TimePoint> arrivals_;  // unwrapped seq -> arrival
+  // Unwrapped seq -> first arrival, for every received seq at or above
+  // highest_ - 4 * ack_window_ (the slots cover that span, allocated on the
+  // first packet).
+  SeqWindow<sim::TimePoint> arrivals_;
   std::int64_t highest_ = -1;
   bool any_seen_ = false;
   SeqUnwrapper unwrapper_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "rtp/packetizer.hpp"
 
 namespace rpv::pipeline {
@@ -55,6 +57,15 @@ TEST(VideoReceiver, FramesReachThePlayer) {
   f.sim.run_all();
   f.receiver->finish();
   EXPECT_EQ(f.receiver->player().frames_played(), 60u);
+}
+
+TEST(VideoReceiver, RejectsAckWindowOutOfRange) {
+  for (const int w : {-5, 0}) {
+    ReceiverConfig cfg;
+    cfg.feedback = FeedbackKind::kRfc8888;
+    cfg.rfc8888_ack_window = w;
+    EXPECT_THROW(Fixture{cfg}, std::invalid_argument) << w;
+  }
 }
 
 TEST(VideoReceiver, OwdRecordedPerPacket) {

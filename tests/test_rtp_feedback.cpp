@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace rpv::rtp {
 namespace {
 
@@ -165,6 +167,40 @@ TEST(Rfc8888, HasDataAfterFirstPacket) {
 TEST(Rfc8888, AckWindowAccessor) {
   Rfc8888Collector c{256};
   EXPECT_EQ(c.ack_window(), 256);
+}
+
+// A window of -5 used to throw std::length_error from build_report and a
+// window of 0 produced empty reports forever; both now fail at construction.
+TEST(Rfc8888, AckWindowOutOfRangeRejected) {
+  for (const int w : {-5, 0, Rfc8888Collector::kMaxAckWindow + 1}) {
+    EXPECT_THROW(Rfc8888Collector{w}, std::invalid_argument) << w;
+  }
+  EXPECT_NO_THROW(Rfc8888Collector{1});
+  EXPECT_NO_THROW(Rfc8888Collector{Rfc8888Collector::kMaxAckWindow});
+}
+
+TEST(Rfc8888, LossBurstBeyondMemoryRestartsWindow) {
+  // Everything older than 4 windows is forgotten, so after a burst longer
+  // than that the report starts at the first packet after it.
+  Rfc8888Collector c{4};
+  for (std::uint16_t s = 0; s < 8; ++s) c.on_packet(s, at_ms(s));
+  c.on_packet(30, at_ms(10));
+  c.on_packet(32, at_ms(11));
+  const auto r = c.build_report(at_ms(20));
+  ASSERT_EQ(r.results.size(), 3u);
+  EXPECT_EQ(r.results.front().transport_seq, 30);
+  EXPECT_TRUE(r.results[0].received);
+  EXPECT_FALSE(r.results[1].received);
+  EXPECT_TRUE(r.results[2].received);
+}
+
+TEST(Rfc8888, FirstArrivalOfDuplicateWins) {
+  Rfc8888Collector c{8};
+  c.on_packet(3, at_ms(1));
+  c.on_packet(3, at_ms(9));
+  const auto r = c.build_report(at_ms(20));
+  ASSERT_EQ(r.results.size(), 1u);
+  EXPECT_EQ(r.results[0].arrival, at_ms(1));
 }
 
 TEST(Rfc8888, SurvivesWrap) {
