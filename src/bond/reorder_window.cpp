@@ -1,6 +1,7 @@
 #include "bond/reorder_window.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/event.hpp"
@@ -13,6 +14,7 @@ namespace {
 // packets in flight, tiny versus a full run.
 constexpr std::size_t kSeenCap = 60000;
 constexpr std::size_t kSeenPrune = 20000;
+constexpr std::int64_t kReleaseAll = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -89,15 +91,24 @@ void ReorderWindow::on_packet(net::Packet p, int path) {
 
   // Duplicate suppression: exactly one copy of each logical packet passes.
   const std::uint64_t key = dedup_key(p);
-  if (!seen_.insert(key).second) {
+  if (!seen_.insert(key)) {
     ++duplicates_suppressed_;
     return;
   }
-  seen_order_.push_back(key);
-  if (seen_order_.size() > kSeenCap) {
-    for (std::size_t i = 0; i < kSeenPrune; ++i) {
-      seen_.erase(seen_order_.front());
-      seen_order_.pop_front();
+  // The set holds at most kSeenCap + 1 keys, so the buffer has that many
+  // slots; past the cap the oldest kSeenPrune keys leave both.
+  constexpr std::size_t kSlots = kSeenCap + 1;
+  const std::size_t at = (seen_head_ + seen_.size() - 1) % kSlots;
+  if (at == seen_order_.size()) {
+    seen_order_.push_back(key);
+  } else {
+    seen_order_[at] = key;
+  }
+  if (seen_.size() > kSeenCap) {
+    seen_head_ = (seen_head_ + kSeenPrune) % kSlots;
+    seen_.clear();
+    for (std::size_t i = 0; i < kSlots - kSeenPrune; ++i) {
+      seen_.insert(seen_order_[(seen_head_ + i) % kSlots]);
     }
   }
 
@@ -116,13 +127,15 @@ void ReorderWindow::on_packet(net::Packet p, int path) {
     return;
   }
 
-  buffer_.emplace(seq, Held{std::move(p), now, path});
+  if (buffer_.insert(seq, Held{std::move(p), now, path})) {
+    arrivals_.push_back({seq, now});
+  }
   drain_in_order();
   if (buffer_.size() >= cfg_.max_packets) {
     // Overflow: the missing packet is not coming (or the window is too small
     // for the current skew) — release everything rather than grow unbounded.
     const auto released = static_cast<std::uint32_t>(buffer_.size());
-    release(buffer_.end());
+    release_below(kReleaseAll);
     ++flushes_;
     publish_flush(released, 1, hold_window().ms());
   }
@@ -130,26 +143,24 @@ void ReorderWindow::on_packet(net::Packet p, int path) {
 }
 
 void ReorderWindow::drain_in_order() {
-  auto it = buffer_.begin();
-  while (it != buffer_.end() && it->first == next_expected_) {
+  while (!buffer_.empty() && buffer_.front() == next_expected_) {
     ++next_expected_;
     ++delivered_;
-    deliver_(std::move(it->second.packet), it->second.path);
-    it = buffer_.erase(it);
+    Held& held = buffer_.front_value();
+    const int path = held.path;
+    net::Packet p = std::move(held.packet);
+    buffer_.pop_front();
+    deliver_(std::move(p), path);
   }
 }
 
-void ReorderWindow::release(std::map<std::int64_t, Held>::iterator end_it) {
-  // Release buffered packets in sequence order up to (not including) end_it,
-  // skipping the gaps that never arrived.
-  auto it = buffer_.begin();
-  while (it != end_it) {
-    next_expected_ = it->first + 1;
-    ++delivered_;
-    deliver_(std::move(it->second.packet), it->second.path);
-    it = buffer_.erase(it);
+void ReorderWindow::release_below(std::int64_t end_seq) {
+  // Release buffered packets below end_seq in sequence order, skipping the
+  // gaps that never arrived, and then any in-order run that follows.
+  while (!buffer_.empty() && buffer_.front() < end_seq) {
+    next_expected_ = buffer_.front();
+    drain_in_order();
   }
-  drain_in_order();
 }
 
 void ReorderWindow::flush_expired() {
@@ -160,17 +171,18 @@ void ReorderWindow::flush_expired() {
   // Everything up to and including the newest expired packet is released:
   // packets with smaller sequence numbers than an expired one must precede it
   // regardless of their own age.
-  auto end_it = buffer_.begin();
+  std::int64_t end_seq = 0;
   std::uint32_t released = 0;
-  for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
-    if (it->second.arrived + hold <= now) {
-      end_it = std::next(it);
-      released = static_cast<std::uint32_t>(
-          std::distance(buffer_.begin(), end_it));
+  std::uint32_t position = 0;
+  buffer_.for_each([&](std::int64_t seq, const Held& held) {
+    ++position;
+    if (held.arrived + hold <= now) {
+      end_seq = seq + 1;
+      released = position;
     }
-  }
+  });
   if (released > 0) {
-    release(end_it);
+    release_below(end_seq);
     ++flushes_;
     publish_flush(released, 0, hold.ms());
   }
@@ -179,16 +191,21 @@ void ReorderWindow::flush_expired() {
 
 void ReorderWindow::arm_timer() {
   if (buffer_.empty()) {
+    arrivals_.clear();
     timer_.cancel();
     timer_deadline_ = sim::TimePoint::never();
     return;
   }
-  // The next deadline is the oldest arrival plus the hold window.
-  sim::TimePoint oldest = sim::TimePoint::never();
-  for (const auto& [seq, held] : buffer_) {
-    oldest = std::min(oldest, held.arrived);
+  // The next deadline is the oldest arrival plus the hold window. Arrivals
+  // are queued in time order, so the oldest held packet is the first queued
+  // one still in the buffer.
+  while (true) {
+    const Arrival& a = arrivals_.front();
+    const Held* held = buffer_.find(a.seq);
+    if (held != nullptr && held->arrived == a.arrived) break;
+    arrivals_.pop_front();
   }
-  const auto deadline = oldest + hold_window();
+  const auto deadline = arrivals_.front().arrived + hold_window();
   if (timer_.pending() && deadline >= timer_deadline_) return;
   timer_deadline_ = deadline;
   // Re-arming cancels the previous deadline.
@@ -200,7 +217,7 @@ void ReorderWindow::flush_all() {
   timer_deadline_ = sim::TimePoint::never();
   if (buffer_.empty()) return;
   const auto released = static_cast<std::uint32_t>(buffer_.size());
-  release(buffer_.end());
+  release_below(kReleaseAll);
   ++flushes_;
   publish_flush(released, 2, hold_window().ms());
 }

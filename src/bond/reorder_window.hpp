@@ -14,15 +14,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "obs/event_sink.hpp"
+#include "rtp/seq_window.hpp"
 #include "rtp/sequence.hpp"
+#include "sim/flat_set.hpp"
+#include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 
 namespace rpv::bond {
@@ -73,10 +73,14 @@ class ReorderWindow {
     sim::TimePoint arrived;
     int path = 0;
   };
+  struct Arrival {
+    std::int64_t seq = 0;
+    sim::TimePoint arrived;
+  };
 
   [[nodiscard]] sim::Duration hold_window() const;
   [[nodiscard]] static std::uint64_t dedup_key(const net::Packet& p);
-  void release(std::map<std::int64_t, Held>::iterator end_it);
+  void release_below(std::int64_t end_seq);
   void drain_in_order();
   void flush_expired();
   void arm_timer();
@@ -89,14 +93,20 @@ class ReorderWindow {
   obs::EventBus* bus_ = nullptr;
 
   rtp::SeqUnwrapper unwrapper_;
-  std::map<std::int64_t, Held> buffer_;  // keyed by unwrapped transport seq
+  rtp::SeqWindow<Held> buffer_{512};  // keyed by unwrapped transport seq
+  // Held packets in arrival order, trimmed lazily at the front: the first
+  // entry still held is the oldest arrival, which sets the hold deadline.
+  sim::Fifo<Arrival> arrivals_;
   bool started_ = false;
   std::int64_t next_expected_ = 0;
 
   // Duplicate suppression: logical identity of every packet released so far,
   // FIFO-bounded (duplicate copies trail the original by at most seconds).
-  std::unordered_set<std::uint64_t> seen_;
-  std::deque<std::uint64_t> seen_order_;
+  // seen_order_ holds the keys of seen_ in insertion order: a circular
+  // buffer that starts at seen_head_ once it has filled.
+  sim::FlatSet seen_;
+  std::vector<std::uint64_t> seen_order_;
+  std::size_t seen_head_ = 0;
 
   // Per-path one-way latency EWMAs feeding the skew estimate.
   std::vector<double> path_latency_ms_;

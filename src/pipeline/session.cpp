@@ -336,7 +336,7 @@ void Session::deliver_bonded(net::Packet p, int path) {
     // any realistic reorder span).
     const std::uint64_t key =
         (static_cast<std::uint64_t>(p.frame_id) << 16) | p.transport_seq;
-    if (!delivered_ids_.insert(key).second) {
+    if (!delivered_ids_.insert(key)) {
       ++duplicates_discarded_;
       return;
     }
@@ -346,9 +346,8 @@ void Session::deliver_bonded(net::Packet p, int path) {
       const std::uint64_t keep_from =
           p.frame_id > 200 ? (static_cast<std::uint64_t>(p.frame_id - 200) << 16)
                            : 0;
-      for (auto it = delivered_ids_.begin(); it != delivered_ids_.end();) {
-        it = (*it < keep_from) ? delivered_ids_.erase(it) : std::next(it);
-      }
+      delivered_ids_.erase_if(
+          [keep_from](std::uint64_t k) { return k < keep_from; });
     }
     if (path != 0) ++rescued_by_b_;
     p.received = sim_.now();

@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "bond/fec_controller.hpp"
@@ -44,6 +43,7 @@
 #include "sat/satellite_link.hpp"
 #include "pipeline/video_receiver.hpp"
 #include "pipeline/video_sender.hpp"
+#include "sim/flat_set.hpp"
 #include "sim/simulator.hpp"
 
 namespace rpv::pipeline {
@@ -266,7 +266,7 @@ class Session {
   std::uint64_t commands_sent_ = 0;
   std::uint64_t telemetry_sent_ = 0;
   std::uint64_t last_command_done_ = 0;
-  std::unordered_set<std::uint64_t> delivered_ids_;  // legacy first-copy-wins
+  sim::FlatSet delivered_ids_;  // legacy first-copy-wins
   sim::TimePoint last_feedback_forwarded_ = sim::TimePoint::never();
   std::uint64_t fec_rate_changes_ = 0;
   std::uint64_t rescued_by_b_ = 0;

@@ -25,8 +25,9 @@ std::optional<net::Packet> FecEncoder::on_media_packet(net::Packet& media) {
   parity.size_bytes = slot.max_size;  // the XOR is as big as the largest member
   parity.fec_group = slot.group;
   parity.rtp_timestamp = slot.members.back().rtp_timestamp;
-  table_->put(slot.group, std::move(slot.members));
-  slot = Slot{};
+  table_->put(slot.group, slot.members);
+  slot.group = -1;
+  slot.max_size = 0;
   ++parity_count_;
   return parity;
 }
@@ -34,18 +35,16 @@ std::optional<net::Packet> FecEncoder::on_media_packet(net::Packet& media) {
 std::optional<net::Packet> FecDecoder::on_media_packet(const net::Packet& p,
                                                         sim::TimePoint now) {
   if (p.fec_group < 0) return std::nullopt;
-  auto& st = states_[p.fec_group];
-  st.seen_transport_seqs.push_back(p.transport_seq);
+  states_[p.fec_group].seen_transport_seqs.push_back(p.transport_seq);
   // Bound state.
-  while (states_.size() > 512) states_.erase(states_.begin());
+  while (states_.size() > kFecGroupsKept) states_.pop_front();
   return try_repair(p.fec_group, now);
 }
 
 std::optional<net::Packet> FecDecoder::on_parity_packet(const net::Packet& parity,
                                                         sim::TimePoint now) {
   if (parity.fec_group < 0) return std::nullopt;
-  auto& st = states_[parity.fec_group];
-  st.parity_seen = true;
+  states_[parity.fec_group].parity_seen = true;
   return try_repair(parity.fec_group, now);
 }
 

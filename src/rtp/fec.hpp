@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "rtp/seq_window.hpp"
 #include "sim/time.hpp"
 
 namespace rpv::rtp {
@@ -32,21 +32,33 @@ struct FecConfig {
   int interleave_depth = 24;
 };
 
+// Groups whose ids fall below the kept window can no longer be repaired;
+// both the group table and the decoder keep the 512 highest group ids.
+inline constexpr std::size_t kFecGroupsKept = 512;
+
 // Encoder/decoder shared view of what each group protects (the XOR content).
 class FecGroupTable {
  public:
-  void put(std::int32_t group, std::vector<net::Packet> members) {
-    groups_[group] = std::move(members);
-    // Bound state: groups far behind can no longer be repaired.
-    while (groups_.size() > 512) groups_.erase(groups_.begin());
+  // Record `members` as the content of `group`, replacing any earlier
+  // content. The storage is exchanged, not copied: `members` comes back
+  // empty, holding the buffer of the group this put evicted, so a steady
+  // stream of groups costs no allocation and only the kept groups hold
+  // buffers.
+  void put(std::int32_t group, std::vector<net::Packet>& members) {
+    groups_[group].swap(members);
+    while (groups_.size() > kFecGroupsKept) {
+      groups_.front_value().swap(members);
+      groups_.pop_front();
+    }
+    members.clear();
   }
   [[nodiscard]] const std::vector<net::Packet>* get(std::int32_t group) const {
-    const auto it = groups_.find(group);
-    return it == groups_.end() ? nullptr : &it->second;
+    return groups_.find(group);
   }
 
  private:
-  std::map<std::int32_t, std::vector<net::Packet>> groups_;
+  // Twice the kept count: a put briefly holds one group more than it keeps.
+  SeqWindow<std::vector<net::Packet>> groups_{2 * kFecGroupsKept};
 };
 
 class FecEncoder {
@@ -107,7 +119,7 @@ class FecDecoder {
   std::optional<net::Packet> try_repair(std::int32_t group, sim::TimePoint now);
 
   std::shared_ptr<FecGroupTable> table_;
-  std::map<std::int32_t, GroupState> states_;
+  SeqWindow<GroupState> states_{2 * kFecGroupsKept};
   std::uint64_t recovered_ = 0;
 };
 

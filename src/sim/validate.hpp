@@ -18,6 +18,13 @@ inline void validate(bool condition, const std::string& message) {
   if (!condition) throw std::invalid_argument(message);
 }
 
+// String-literal messages bind here rather than to a temporary std::string,
+// so a passing check on a per-packet path costs a branch, not an
+// allocation.
+inline void validate(bool condition, const char* message) {
+  if (!condition) throw std::invalid_argument(message);
+}
+
 // Parses the whole of `text` as a base-10 integer in [lo, hi], for CLI
 // values like `--runs 3`. Throws std::invalid_argument naming `name` on
 // anything else: trailing junk ("3x"), an empty string, a value that does

@@ -13,7 +13,7 @@ void PlayerModel::on_frame_ready(const Frame& f, double ssim) {
     ++frames_skipped_;
     return;
   }
-  queue_.emplace(f.id, std::make_pair(f, ssim));
+  queue_.insert(f.id, std::make_pair(f, ssim));
   try_play();
 }
 
@@ -51,10 +51,8 @@ void PlayerModel::try_play() {
   const bool starved =
       played_any_ && now > next_play_at_ + sim::Duration::millis(5);
 
-  auto it = queue_.begin();
-  const Frame f = it->second.first;
-  const double ssim = it->second.second;
-  queue_.erase(it);
+  const auto [f, ssim] = queue_.front_value();
+  queue_.pop_front();
 
   // Display the frame now.
   if (played_any_) {

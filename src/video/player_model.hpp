@@ -11,10 +11,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "metrics/time_series.hpp"
+#include "rtp/seq_window.hpp"
 #include "sim/simulator.hpp"
 #include "video/frame.hpp"
 
@@ -73,7 +74,7 @@ class PlayerModel {
   sim::Simulator& sim_;
   PlayerConfig cfg_;
   StallFn stall_hook_;
-  std::map<std::uint32_t, std::pair<Frame, double>> queue_;  // by frame id
+  rtp::SeqWindow<std::pair<Frame, double>> queue_{8};  // by frame id
   double rate_ = 1.0;
   sim::TimePoint next_play_at_ = sim::TimePoint::origin();
   sim::TimePoint last_play_time_ = sim::TimePoint::never();
